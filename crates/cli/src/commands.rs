@@ -73,7 +73,6 @@ fn usage() -> String {
      circlekit live compact --snapshot FILE.cks [--crash-point tmp-written|renamed]\n  \
      circlekit serve        --snapshot FILE.cks [--snapshot FILE2.cks ...] [--listen ADDR]\n                         \
      [--threads N] [--workers N] [--queue N] [--batch N] [--cache N]\n                         \
-     [--event-loop on|off] [--dispatchers N]\n                         \
      [--replica-of HOST:PORT] [--repl-crash-point POINT]\n  \
      circlekit serve        --coordinator --shards HOST:PORT,HOST:PORT,... [--listen ADDR]\n                         \
      [--shard-count N] [--shard-deadline-ms MS]\n  \
@@ -1114,11 +1113,6 @@ fn serve(args: &[String]) -> Result<String, String> {
             })
         })
         .transpose()?;
-    let event_loop = match flags.get("event-loop").unwrap_or("on") {
-        "on" => true,
-        "off" => false,
-        other => return Err(format!("bad --event-loop {other:?} (on|off)")),
-    };
     let config = ServeConfig {
         threads: threads_flag(&flags)?,
         workers: flags.parse_value("workers", 1)?,
@@ -1131,8 +1125,6 @@ fn serve(args: &[String]) -> Result<String, String> {
         repl_crash_point,
         fault: circlekit_serve::FaultPlan::default(),
         coordinator,
-        event_loop,
-        dispatchers: flags.parse_value("dispatchers", 0)?,
     };
     circlekit_serve::signal::install_termination_handlers();
     let listen = flags.get("listen").unwrap_or("127.0.0.1:7450");

@@ -126,10 +126,11 @@ impl Poller {
     }
 
     /// Blocks until at least one registered fd is ready or `timeout`
-    /// elapses (`None` blocks indefinitely), replacing `events`'s
-    /// contents with the notifications. Interrupted waits (`EINTR`, e.g.
-    /// a SIGTERM arriving) return an empty set rather than an error so
-    /// callers fall through to their flag polls.
+    /// elapses (`None` blocks indefinitely; a timeout rounds up to whole
+    /// milliseconds, so a sub-millisecond one still sleeps), replacing
+    /// `events`'s contents with the notifications. Interrupted waits
+    /// (`EINTR`, e.g. a SIGTERM arriving) return an empty set rather than
+    /// an error so callers fall through to their flag polls.
     ///
     /// # Errors
     ///
@@ -140,7 +141,7 @@ impl Poller {
         let timeout_ms: sys::c_int = match timeout {
             None => -1,
             // Round up so a 1ns timeout still sleeps instead of spinning.
-            Some(t) => t.as_millis().min(i32::MAX as u128) as i32,
+            Some(t) => t.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32,
         };
         let n = unsafe {
             sys::epoll_wait(self.epfd, raw.as_mut_ptr(), MAX_EVENTS as sys::c_int, timeout_ms)
@@ -254,6 +255,17 @@ mod tests {
         let n = poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
         assert_eq!(n, 0);
         assert!(events.is_empty());
+    }
+
+    #[test]
+    fn sub_millisecond_timeouts_round_up_instead_of_spinning() {
+        let poller = Poller::new().unwrap();
+        let mut events = Vec::new();
+        let timeout = Duration::from_micros(300);
+        let started = std::time::Instant::now();
+        assert_eq!(poller.wait(&mut events, Some(timeout)).unwrap(), 0);
+        let waited = started.elapsed();
+        assert!(waited >= timeout, "waited only {waited:?}");
     }
 
     #[test]

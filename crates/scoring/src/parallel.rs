@@ -57,9 +57,10 @@ pub fn parse_thread_count(value: &str) -> Result<usize, String> {
 /// The batch is split into `threads` contiguous chunks (the last possibly
 /// shorter); chunk boundaries depend only on the batch length and the
 /// thread count, so the partition — and therefore the output — is
-/// deterministic. Scores are pure functions of per-set statistics, so the
-/// result equals the sequential [`Scorer`] output exactly, not just
-/// approximately.
+/// deterministic. A batch that forms a single chunk (always, at one
+/// thread) is evaluated on the calling thread without spawning. Scores
+/// are pure functions of per-set statistics, so the result equals the
+/// sequential [`Scorer`] output exactly, not just approximately.
 #[derive(Debug)]
 pub struct ParallelScorer<'g> {
     graph: &'g Graph,
@@ -137,14 +138,21 @@ impl<'g> ParallelScorer<'g> {
         if sets.is_empty() {
             return Vec::new();
         }
+        let graph = self.graph;
+        let median = self.median_degree;
         let chunk_size = sets.len().div_ceil(self.threads).max(1);
         let chunk_count = sets.len().div_ceil(chunk_size);
+        if chunk_count == 1 {
+            // One chunk needs no worker: evaluate it on this thread.
+            return sets
+                .iter()
+                .map(|set| eval(SetStats::compute(graph, set, median)))
+                .collect();
+        }
         // One slot per chunk: workers finish in arbitrary order, the slot
         // index restores input order.
         let slots: Mutex<Vec<Option<Vec<T>>>> =
             Mutex::new((0..chunk_count).map(|_| None).collect());
-        let graph = self.graph;
-        let median = self.median_degree;
         let eval = &eval;
         let slots_ref = &slots;
         crossbeam::scope(|scope| {

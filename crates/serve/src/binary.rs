@@ -1,8 +1,8 @@
 //! CKP1: the binary wire protocol, negotiated per connection.
 //!
 //! JSON framing ([`crate::protocol`]) stays the compat mode; CKP1 is the
-//! compact encoding the event-loop front end and the nonblocking load
-//! generator speak. It reuses the workspace's binary-format conventions
+//! compact encoding the server and the nonblocking load generator
+//! speak. It reuses the workspace's binary-format conventions
 //! from CKS1/CKW1 (`circlekit-store`): a fixed magic, little-endian
 //! integers, and a CRC-32-guarded payload.
 //!
@@ -30,9 +30,12 @@
 //!
 //! A request payload is the op's argument map in the *bval* encoding
 //! below (the `"op"` key travels in the header, not the map). A response
-//! payload is the entire response envelope (`{"ok":…}`) in bval, so a
-//! binary client decodes the exact [`Value`] tree a JSON client parses
-//! — score tables render byte-identically by construction.
+//! payload is the entire response envelope (`{"ok":…}`) in bval: the
+//! server encodes the same tree it would render as JSON. Response trees
+//! hold only values JSON carries losslessly (unsigned integers, finite
+//! floats; non-finite scores travel as `null`), so a binary client
+//! decodes the exact [`Value`] tree a JSON client parses — score tables
+//! render byte-identically by construction.
 //!
 //! *bval* is a tagged little-endian encoding of the [`Value`] tree:
 //!
@@ -621,11 +624,10 @@ pub fn decode_request(op: u16, payload: &[u8]) -> Result<Request, RequestError> 
     Ok(request)
 }
 
-/// Encodes a rendered JSON response envelope as a CKP1 response payload.
-/// Parsing then re-encoding (rather than a second render path) keeps the
-/// binary response the *same tree* the JSON client would decode: Rust's
-/// shortest-round-trip float formatting makes the parse lossless, and
-/// bval carries the bits verbatim from there.
+/// Encodes an already-rendered JSON response envelope as a CKP1
+/// response payload: the tree a JSON client would parse, in bval. The
+/// server never takes this path — it encodes its response tree directly
+/// with [`encode_value`] — but callers holding JSON text can.
 ///
 /// # Errors
 ///
@@ -646,13 +648,6 @@ pub fn encode_response_payload(rendered: &str) -> Result<Vec<u8>, String> {
 /// A message naming the bval defect.
 pub fn decode_response_payload(payload: &[u8]) -> Result<Value, String> {
     decode_value(payload)
-}
-
-/// Renders a typed error envelope as a ready-to-send response frame.
-pub fn error_frame(op: u16, kind: ErrorKind, message: &str) -> Vec<u8> {
-    let envelope = crate::protocol::error_payload(kind, message);
-    let payload = encode_response_payload(&envelope).expect("error envelopes are valid JSON");
-    encode_frame(KIND_RESPONSE, op, &payload)
 }
 
 /// True when a connection's first byte announces CKP1 rather than a

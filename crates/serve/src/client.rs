@@ -2,7 +2,7 @@
 //! CLI subcommand, the `loadgen` harness, and the integration tests.
 //!
 //! One [`Client`] owns one TCP connection and issues requests strictly
-//! in sequence (the protocol is request/response, no pipelining). Server
+//! in sequence, waiting for each response before the next request. Server
 //! errors arrive as typed [`ClientError::Server`] values carrying the
 //! [`ErrorKind`] so callers can react to `overloaded` or
 //! `deadline-exceeded` distinctly from transport failures.

@@ -44,7 +44,7 @@
 use crate::cache::CacheKey;
 use crate::client::ClientError;
 use crate::failover::{FailoverClient, FailoverOptions};
-use crate::protocol::{ok_payload, set_digest, wire, ErrorKind, Request, RequestError};
+use crate::protocol::{ok_value, set_digest, wire, ErrorKind, Request, RequestError};
 use crate::server::{score_fields, with_op, Shared};
 use circlekit_scoring::{ScoringFunction, SetStats};
 use circlekit_shard::{reduce_partials, shard_of, ShardPartial};
@@ -497,7 +497,7 @@ impl Coordinator {
         group: usize,
         functions: &[ScoringFunction],
         deadline_ms: Option<u64>,
-    ) -> Result<String, RequestError> {
+    ) -> Result<Value, RequestError> {
         self.check_snapshot(snapshot)?;
         if group >= self.group_sizes.len() {
             return Err((
@@ -516,14 +516,14 @@ impl Coordinator {
             // advertised size is the size every gather would re-agree on.
             let set_len = self.group_sizes[group] as usize;
             fields.extend(score_fields(set_len, functions, &scores, true));
-            return Ok(ok_payload(with_op("score_group", &self.logical_id, fields)));
+            return Ok(ok_value(with_op("score_group", &self.logical_id, fields)));
         }
         let (stats, set_len, observed) =
             self.gather(shared, &GatherSet::Group(group), deadline_ms)?;
         let scores: Vec<f64> = functions.iter().map(|f| f.score(&stats)).collect();
         self.store_scores(shared, DIGEST_GROUP, group as u64, &observed, functions, &scores);
         fields.extend(score_fields(set_len, functions, &scores, false));
-        Ok(ok_payload(with_op("score_group", &self.logical_id, fields)))
+        Ok(ok_value(with_op("score_group", &self.logical_id, fields)))
     }
 
     fn score_set(
@@ -533,7 +533,7 @@ impl Coordinator {
         members: &[u32],
         functions: &[ScoringFunction],
         deadline_ms: Option<u64>,
-    ) -> Result<String, RequestError> {
+    ) -> Result<Value, RequestError> {
         self.check_snapshot(snapshot)?;
         if let Some(&bad) =
             members.iter().find(|&&m| u64::from(m) >= self.manifest.parent_node_count)
@@ -557,14 +557,14 @@ impl Coordinator {
             self.cached_scores(shared, DIGEST_MEMBERS, member_digest, functions)
         {
             let fields = score_fields(normalized.len(), functions, &scores, true);
-            return Ok(ok_payload(with_op("score_set", &self.logical_id, fields)));
+            return Ok(ok_value(with_op("score_set", &self.logical_id, fields)));
         }
         let (stats, set_len, observed) =
             self.gather(shared, &GatherSet::Members(members), deadline_ms)?;
         let scores: Vec<f64> = functions.iter().map(|f| f.score(&stats)).collect();
         self.store_scores(shared, DIGEST_MEMBERS, member_digest, &observed, functions, &scores);
         let fields = score_fields(set_len, functions, &scores, false);
-        Ok(ok_payload(with_op("score_set", &self.logical_id, fields)))
+        Ok(ok_value(with_op("score_set", &self.logical_id, fields)))
     }
 
     fn watch_scores(
@@ -572,7 +572,7 @@ impl Coordinator {
         shared: &Shared,
         snapshot: &str,
         group: usize,
-    ) -> Result<String, RequestError> {
+    ) -> Result<Value, RequestError> {
         self.check_snapshot(snapshot)?;
         if group >= self.group_sizes.len() {
             return Err((
@@ -618,7 +618,7 @@ impl Coordinator {
             ("functions".to_string(), Value::Seq(names)),
             ("scores".to_string(), wire::score_array(&scores)),
         ];
-        Ok(ok_payload(with_op("watch_scores", &self.logical_id, fields)))
+        Ok(ok_value(with_op("watch_scores", &self.logical_id, fields)))
     }
 
     /// `suggest_circles` is routed whole to the ego's owning shard: the
@@ -630,7 +630,7 @@ impl Coordinator {
         seed: u64,
         min_size: usize,
         top: usize,
-    ) -> Result<String, RequestError> {
+    ) -> Result<Value, RequestError> {
         self.check_snapshot(snapshot)?;
         if u64::from(ego) >= self.manifest.parent_node_count {
             return Err((
@@ -663,7 +663,7 @@ impl Coordinator {
                 }
             }
         }
-        Ok(response.to_string())
+        Ok(response)
     }
 
     /// Per-shard health rows for the `stats` and `repl_status` ops,
@@ -711,10 +711,10 @@ impl Coordinator {
 pub(crate) fn handle(
     shared: &Arc<Shared>,
     request: &Request,
-) -> Option<Result<String, RequestError>> {
+) -> Option<Result<Value, RequestError>> {
     let coord = shared.coord.as_ref().expect("coordinator mode");
     let answer = match request {
-        Request::Health => Ok(ok_payload(vec![
+        Request::Health => Ok(ok_value(vec![
             ("status".to_string(), Value::Str("serving".to_string())),
             ("role".to_string(), Value::Str("coordinator".to_string())),
             ("snapshots".to_string(), Value::UInt(1)),
@@ -723,9 +723,9 @@ pub(crate) fn handle(
         Request::Stats => {
             let mut fields = shared.stats_snapshot().to_fields();
             fields.push(("shards".to_string(), coord.shard_rows()));
-            Ok(ok_payload(fields))
+            Ok(ok_value(fields))
         }
-        Request::ListSnapshots => Ok(ok_payload(vec![(
+        Request::ListSnapshots => Ok(ok_value(vec![(
             "snapshots".to_string(),
             Value::Seq(vec![Value::Map(vec![
                 ("id".to_string(), Value::Str(coord.logical_id.clone())),
@@ -738,7 +738,7 @@ pub(crate) fn handle(
             ])]),
         )])),
         Request::ListGroups { snapshot } => coord.check_snapshot(snapshot).map(|()| {
-            ok_payload(vec![
+            ok_value(vec![
                 ("snapshot".to_string(), Value::Str(coord.logical_id.clone())),
                 ("groups".to_string(), Value::UInt(coord.group_sizes.len() as u64)),
                 (
@@ -782,7 +782,7 @@ pub(crate) fn handle(
                 ("role".to_string(), Value::Str("coordinator".to_string())),
                 ("shards".to_string(), coord.shard_rows()),
             ];
-            Ok(ok_payload(fields))
+            Ok(ok_value(fields))
         }
         Request::DebugSleep { .. }
         | Request::ReplAck { .. }

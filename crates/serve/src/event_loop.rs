@@ -1,35 +1,45 @@
-//! The epoll front end: one loop thread owning every connection,
-//! replacing the thread-per-connection acceptor/handler pair when
-//! [`crate::ServeConfig::event_loop`] is on (the default).
+//! The epoll front end: one loop thread owning every connection.
 //!
 //! ## Architecture
 //!
 //! ```text
-//!          epoll loop thread                dispatcher pool           workers
+//!          epoll loop thread                dispatcher pool            workers
 //!  accept ─► Conn{inbuf,outbuf} ─frames─► BoundedQueue ─► handle_request ─► (queue,
-//!  flush  ◄─ seq-ordered done map ◄─────── completions + wake pipe          batcher,
+//!  flush  ◄─ seq-ordered done map ◄─────── frames + wake pipe ◄─ render     batcher,
 //!                                                                           cache)
 //! ```
 //!
 //! The loop never blocks on a socket: reads and writes run to `EAGAIN`
 //! and partial frames/writes stay buffered per connection. Decoded
 //! requests are stamped with a per-connection sequence number and handed
-//! to a dispatcher pool over a second [`BoundedQueue`]; dispatchers call
-//! the same [`handle_request`] the threaded path uses, so the scoring
-//! queue, micro-batcher, LRU cache, and registry are shared unchanged —
-//! served bytes are identical in both front ends.
+//! to a pool of `max(8, 4 × workers)` dispatchers over a second
+//! [`BoundedQueue`]. A dispatcher calls [`handle_request`], which may
+//! block on the scoring queue, the micro-batcher or a shard gather, and
+//! gets back the response envelope as one [`Value`] tree. [`render`]
+//! encodes that tree for the connection's wire mode — JSON text or a
+//! CKP1 frame — so the loop receives finished bytes. The floor of 8
+//! keeps dispatchers idle for a request that arrives while the scoring
+//! queue is saturated: it is *refused* (`overloaded`) at once instead of
+//! waiting behind the blocked ones.
 //!
-//! ## Pipelining and the ordering guarantee
+//! ## Pipelining and the ordering guarantees
 //!
 //! A connection may have many requests in flight (up to
 //! [`MAX_PIPELINE`]; beyond that the loop simply stops reading the
 //! socket, which is backpressure TCP propagates to the client).
-//! Execution may complete out of order — different dispatchers, cache
-//! hits overtaking scoring misses — but responses are **delivered in
-//! request order**: completions park in a per-connection `BTreeMap`
-//! keyed by sequence number and only the next undelivered sequence is
-//! appended to the write buffer. A pipelined client can therefore match
-//! responses to requests positionally, exactly as on the serial path.
+//! Reads may execute concurrently and complete out of order — different
+//! dispatchers, cache hits overtaking scoring misses — but responses
+//! are **delivered in request order**: completions park in a
+//! per-connection `BTreeMap` keyed by sequence number and only the next
+//! undelivered sequence is appended to the write buffer. A pipelined
+//! client can therefore match responses to requests positionally.
+//!
+//! Writes (`apply_mutations`, `compact`) also **execute** in request
+//! order: each is a barrier on its connection. A write starts only once
+//! every earlier request on the connection has completed, and nothing
+//! later is parsed — so the socket is not read — until the write has
+//! completed. Version numbers acked on one connection therefore rise in
+//! request order, and a read pipelined after a write sees that write.
 //!
 //! ## Protocol negotiation
 //!
@@ -54,10 +64,10 @@
 //! connection first — pipelined predecessors are never dropped.
 
 use crate::binary::{self, BinaryError};
-use crate::protocol::{error_payload, ok_payload, ErrorKind, Request, RequestError, MAX_FRAME_LEN};
+use crate::protocol::{error_value, ok_value, ErrorKind, Request, RequestError, MAX_FRAME_LEN};
 use crate::queue::{BoundedQueue, PushError};
 use crate::replication;
-use crate::server::{handle_request, Shared, POLL_INTERVAL, SHUTDOWN_GRACE_POLLS};
+use crate::server::{handle_request, Shared, POLL_INTERVAL};
 use crate::stats::ServeStats;
 use circlekit_net::{tune_stream, Event, Interest, Poller, WakePipe};
 use serde_json::Value;
@@ -71,6 +81,10 @@ use std::thread::JoinHandle;
 /// Most requests a single connection may have undelivered before the
 /// loop stops reading its socket.
 pub(crate) const MAX_PIPELINE: usize = 128;
+
+/// Polls a draining loop waits for in-flight work before dropping the
+/// connections still open (~2 s at [`POLL_INTERVAL`]).
+const SHUTDOWN_GRACE_POLLS: u32 = 40;
 
 const LISTENER_TOKEN: u64 = u64::MAX;
 const WAKE_TOKEN: u64 = u64::MAX - 1;
@@ -88,27 +102,28 @@ enum Mode {
 
 /// One request executed off-loop, addressed back to (slot, generation,
 /// seq) — the generation guards against the slot being reused by a new
-/// connection while the request was in flight.
+/// connection while the request was in flight. `mode` and `op` tell the
+/// dispatcher how to frame the response.
 struct DispatchJob {
     slot: usize,
     generation: u64,
     seq: u64,
+    mode: Mode,
     op: u16,
     request: Request,
 }
 
+/// A finished response frame on its way back to the loop.
 struct Completion {
     slot: usize,
     generation: u64,
     seq: u64,
-    op: u16,
-    outcome: Result<String, RequestError>,
+    bytes: Vec<u8>,
 }
 
-#[derive(Default)]
-struct Completions {
-    ready: Mutex<Vec<Completion>>,
-}
+/// Finished frames the dispatchers have pushed and the loop has not yet
+/// applied.
+type Completions = Mutex<Vec<Completion>>;
 
 struct Conn {
     stream: TcpStream,
@@ -124,23 +139,35 @@ struct Conn {
     done: BTreeMap<u64, Vec<u8>>,
     /// Requests handed to dispatchers and not yet completed.
     inflight: usize,
-    /// The peer's read side is gone or the stream is desynchronised —
-    /// parse no further input.
-    stop_reading: bool,
-    /// Close once every owed response is flushed.
+    /// Sequence number of the write this connection is ordered behind:
+    /// set when the write is parsed, cleared when it completes. While
+    /// set, no further frame is parsed.
+    barrier: Option<u64>,
+    /// That write, while requests before it are still in flight; it is
+    /// dispatched when `inflight` drops to 0, so `held` implies
+    /// `inflight > 0`.
+    held: Option<DispatchJob>,
+    /// The stream is desynchronised or the server is draining — parse no
+    /// further input. Implies `close_after_flush`.
+    stop_parsing: bool,
+    /// Close once every owed response is flushed, and read nothing more
+    /// from the socket; complete frames already buffered are still
+    /// answered unless `stop_parsing` is set.
     close_after_flush: bool,
     /// Interest currently registered with the poller.
     interest: Interest,
 }
 
 impl Conn {
-    fn pipeline_full(&self) -> bool {
-        self.inflight + self.done.len() >= MAX_PIPELINE
+    /// Whether parsing (and therefore reading) waits: the pipeline is
+    /// full, or a write is held or running.
+    fn paused(&self) -> bool {
+        self.barrier.is_some() || self.inflight + self.done.len() >= MAX_PIPELINE
     }
 
     fn wants(&self) -> Interest {
         Interest {
-            readable: !self.stop_reading && !self.pipeline_full(),
+            readable: !self.close_after_flush && !self.paused(),
             writable: !self.outbuf.is_empty(),
         }
     }
@@ -150,14 +177,13 @@ impl Conn {
     }
 }
 
-/// Runs the event loop until shutdown completes its drain. Takes the
-/// role `accept_loop` has on the threaded path; `handlers` receives the
-/// threads that replication subscriptions are handed off to, so
-/// [`crate::Server::join`] can join them as usual.
+/// Runs the event loop until shutdown completes its drain.
+/// `subscriptions` receives the threads that replication subscriptions
+/// are handed off to, so [`crate::Server::join`] can join them.
 pub(crate) fn run(
     listener: TcpListener,
     shared: &Arc<Shared>,
-    handlers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
+    subscriptions: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
     let poller = Poller::new().expect("epoll_create1");
     let wake = Arc::new(WakePipe::new().expect("wake pipe"));
@@ -174,7 +200,7 @@ pub(crate) fn run(
     let dispatch: Arc<BoundedQueue<DispatchJob>> =
         Arc::new(BoundedQueue::new(shared.config.queue_capacity.max(64)));
     let completions = Arc::new(Completions::default());
-    let dispatchers: Vec<JoinHandle<()>> = (0..shared.config.dispatcher_count())
+    let dispatchers: Vec<JoinHandle<()>> = (0..(shared.config.workers * 4).max(8))
         .map(|i| {
             let shared = Arc::clone(shared);
             let dispatch = Arc::clone(&dispatch);
@@ -193,7 +219,7 @@ pub(crate) fn run(
         wake,
         dispatch,
         completions,
-        handlers: Arc::clone(handlers),
+        subscriptions: Arc::clone(subscriptions),
         conns: Vec::new(),
         free: Vec::new(),
         generations: 0,
@@ -219,14 +245,53 @@ fn dispatcher_loop(
     wake: &WakePipe,
 ) {
     while let Some(job) = dispatch.pop() {
-        let DispatchJob { slot, generation, seq, op, request } = job;
-        let outcome = handle_request(request, shared);
-        completions
-            .ready
-            .lock()
-            .expect("completion lock")
-            .push(Completion { slot, generation, seq, op, outcome });
+        let DispatchJob { slot, generation, seq, mode, op, request } = job;
+        let bytes = render(&shared.stats, mode, op, handle_request(request, shared));
+        let completion = Completion { slot, generation, seq, bytes };
+        completions.lock().expect("completion lock").push(completion);
         wake.wake();
+    }
+}
+
+/// Encodes one response envelope as a frame in the connection's wire
+/// mode — JSON text, or the same tree in CKP1's bval — and counts it
+/// once in the ok/error counters.
+fn render(
+    stats: &ServeStats,
+    mode: Mode,
+    op: u16,
+    outcome: Result<Value, RequestError>,
+) -> Vec<u8> {
+    let envelope = match outcome {
+        Ok(envelope) => {
+            ServeStats::bump(&stats.ok_responses);
+            envelope
+        }
+        Err((kind, message)) => {
+            ServeStats::bump(&stats.error_responses);
+            match kind {
+                ErrorKind::Overloaded => ServeStats::bump(&stats.overloaded),
+                ErrorKind::DeadlineExceeded => ServeStats::bump(&stats.deadline_expired),
+                _ => {}
+            }
+            error_value(kind, &message)
+        }
+    };
+    match mode {
+        Mode::Binary => {
+            let mut body = Vec::new();
+            binary::encode_value(&envelope, &mut body);
+            binary::encode_frame(binary::KIND_RESPONSE, op, &body)
+        }
+        // Unknown cannot happen (a response implies a parsed frame),
+        // but JSON is the safe rendering if it ever did.
+        Mode::Json | Mode::Unknown => {
+            let text = envelope.to_string();
+            let mut framed = Vec::with_capacity(4 + text.len());
+            framed.extend_from_slice(&(text.len() as u32).to_be_bytes());
+            framed.extend_from_slice(text.as_bytes());
+            framed
+        }
     }
 }
 
@@ -236,7 +301,7 @@ struct Loop {
     wake: Arc<WakePipe>,
     dispatch: Arc<BoundedQueue<DispatchJob>>,
     completions: Arc<Completions>,
-    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    subscriptions: Arc<Mutex<Vec<JoinHandle<()>>>>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     generations: u64,
@@ -288,7 +353,7 @@ impl Loop {
                 }
                 {
                     let conn = self.conns[slot].as_mut().expect("presence just checked");
-                    conn.stop_reading = true;
+                    conn.stop_parsing = true;
                     conn.close_after_flush = true;
                 }
                 self.settle(slot);
@@ -298,8 +363,8 @@ impl Loop {
         if self.conns.iter().all(Option::is_none) {
             return true;
         }
-        // In-flight work gets the same grace the threaded path gives a
-        // mid-frame reader; then the stragglers are dropped.
+        // In-flight work gets a grace window; then the stragglers are
+        // dropped.
         self.shutdown_polls += 1;
         if self.shutdown_polls > SHUTDOWN_GRACE_POLLS {
             for slot in 0..self.conns.len() {
@@ -349,7 +414,9 @@ impl Loop {
             next_deliver: 0,
             done: BTreeMap::new(),
             inflight: 0,
-            stop_reading: false,
+            barrier: None,
+            held: None,
+            stop_parsing: false,
             close_after_flush: false,
             interest: Interest::READ,
         };
@@ -385,9 +452,9 @@ impl Loop {
         let mut eof = false;
         {
             let conn = self.conns[slot].as_mut().expect("checked by caller");
-            if !conn.stop_reading {
+            if !conn.close_after_flush {
                 let mut chunk = [0u8; 64 * 1024];
-                while !conn.pipeline_full() {
+                while !conn.paused() {
                     match conn.stream.read(&mut chunk) {
                         Ok(0) => {
                             eof = true;
@@ -407,8 +474,8 @@ impl Loop {
         };
         if eof {
             // The peer may have half-closed: responses already owed are
-            // still flushed, but nothing further is read.
-            conn.stop_reading = true;
+            // still flushed, and frames buffered behind a write barrier
+            // still parsed, but nothing further is read.
             conn.close_after_flush = true;
             if conn.idle() {
                 return Err(());
@@ -424,7 +491,7 @@ impl Loop {
             let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
                 return Ok(());
             };
-            if conn.stop_reading || conn.inbuf.is_empty() || conn.pipeline_full() {
+            if conn.stop_parsing || conn.inbuf.is_empty() || conn.paused() {
                 return Ok(());
             }
             if conn.mode == Mode::Unknown {
@@ -470,11 +537,10 @@ impl Loop {
                         Ok(text) => {
                             self.take_request(slot, binary::OP_UNKNOWN, Request::parse(&text))
                         }
-                        // Same as the threaded path: nothing sane to say
-                        // on a non-UTF-8 stream — close, still flushing
-                        // what is owed.
+                        // Nothing sane to say on a non-UTF-8 stream —
+                        // close, still flushing what is owed.
                         Err(_) => {
-                            conn.stop_reading = true;
+                            conn.stop_parsing = true;
                             conn.close_after_flush = true;
                             if conn.idle() {
                                 return Err(());
@@ -527,7 +593,8 @@ impl Loop {
     }
 
     /// Routes one decoded request (or its parse error): special ops are
-    /// intercepted on the loop thread, the rest go to the dispatchers.
+    /// intercepted on the loop thread, the rest go to the dispatchers —
+    /// a write only once everything before it has completed.
     fn take_request(&mut self, slot: usize, op: u16, request: Result<Request, RequestError>) {
         let conn = self.conns[slot].as_mut().expect("checked by caller");
         let seq = conn.next_seq;
@@ -536,48 +603,62 @@ impl Loop {
             Err(err) => self.finish_inline_seq(slot, seq, op, Err(err), false),
             Ok(Request::Shutdown) => {
                 self.shared.trigger_shutdown();
-                let payload = ok_payload(vec![(
-                    "message".to_string(),
-                    Value::Str("draining".to_string()),
-                )]);
-                self.finish_inline_seq(slot, seq, op, Ok(payload), true);
+                let envelope =
+                    ok_value(vec![("message".to_string(), Value::Str("draining".to_string()))]);
+                self.finish_inline_seq(slot, seq, op, Ok(envelope), true);
             }
             Ok(Request::Replicate { snapshot, base_crc, wal_offset }) => {
                 self.hand_off_subscription(slot, seq, op, snapshot, base_crc, wal_offset);
             }
             Ok(request) => {
-                let generation = conn.generation;
-                conn.inflight += 1;
-                ServeStats::raise(
-                    &self.shared.stats.pipelined_peak,
-                    (conn.inflight + conn.done.len()) as u64,
-                );
-                let job = DispatchJob { slot, generation, seq, op, request };
-                if let Err(refusal) = self.dispatch.try_push(job) {
-                    let conn = self.conns[slot].as_mut().expect("checked by caller");
-                    conn.inflight -= 1;
-                    let err = match refusal {
-                        PushError::Full => (
-                            ErrorKind::Overloaded,
-                            "dispatch queue is full; retry later".to_string(),
-                        ),
-                        PushError::Closed => {
-                            (ErrorKind::ShuttingDown, "server is draining".to_string())
-                        }
-                    };
-                    self.finish_inline_seq(slot, seq, op, Err(err), false);
+                let is_write =
+                    matches!(request, Request::ApplyMutations { .. } | Request::Compact { .. });
+                let (generation, mode) = (conn.generation, conn.mode);
+                let job = DispatchJob { slot, generation, seq, mode, op, request };
+                if is_write {
+                    conn.barrier = Some(seq);
+                    if conn.inflight > 0 {
+                        conn.held = Some(job);
+                        return;
+                    }
                 }
+                self.dispatch_job(job);
             }
+        }
+    }
+
+    /// Hands one request to the dispatcher pool, answering it inline
+    /// when the hand-off queue refuses it.
+    fn dispatch_job(&mut self, job: DispatchJob) {
+        let (slot, seq, op) = (job.slot, job.seq, job.op);
+        let conn = self.conns[slot].as_mut().expect("checked by caller");
+        conn.inflight += 1;
+        ServeStats::raise(
+            &self.shared.stats.pipelined_peak,
+            (conn.inflight + conn.done.len()) as u64,
+        );
+        if let Err(refusal) = self.dispatch.try_push(job) {
+            let conn = self.conns[slot].as_mut().expect("checked by caller");
+            conn.inflight -= 1;
+            if conn.barrier == Some(seq) {
+                conn.barrier = None;
+            }
+            let err = match refusal {
+                PushError::Full => {
+                    (ErrorKind::Overloaded, "dispatch queue is full; retry later".to_string())
+                }
+                PushError::Closed => (ErrorKind::ShuttingDown, "server is draining".to_string()),
+            };
+            self.finish_inline_seq(slot, seq, op, Err(err), false);
         }
     }
 
     /// A `replicate` request turns the connection into a WAL
     /// subscription, which is a blocking streaming protocol — the fd is
     /// pulled out of the loop and handed to a dedicated thread running
-    /// the same [`replication::serve_subscription`] as the threaded
-    /// path. Only a "clean" connection may convert: JSON mode (the WAL
-    /// stream is JSON-framed), nothing pipelined ahead of it, and no
-    /// buffered bytes behind it.
+    /// [`replication::serve_subscription`]. Only a "clean" connection
+    /// may convert: JSON mode (the WAL stream is JSON-framed), nothing
+    /// pipelined ahead of it, and no buffered bytes behind it.
     fn hand_off_subscription(
         &mut self,
         slot: usize,
@@ -624,7 +705,7 @@ impl Loop {
                 replication::serve_subscription(&mut stream, &shared, &snapshot, base_crc, wal_offset);
             })
             .expect("spawn replication thread");
-        self.handlers.lock().expect("handler registry lock").push(handle);
+        self.subscriptions.lock().expect("subscription registry lock").push(handle);
     }
 
     /// Completes a request at the *next* sequence number (used on paths
@@ -633,7 +714,7 @@ impl Loop {
         &mut self,
         slot: usize,
         op: u16,
-        outcome: Result<String, RequestError>,
+        outcome: Result<Value, RequestError>,
         close_after: bool,
     ) {
         let conn = self.conns[slot].as_mut().expect("checked by caller");
@@ -647,79 +728,42 @@ impl Loop {
         slot: usize,
         seq: u64,
         op: u16,
-        outcome: Result<String, RequestError>,
+        outcome: Result<Value, RequestError>,
         close_after: bool,
     ) {
         let mode = self.conns[slot].as_ref().expect("checked by caller").mode;
-        let bytes = self.render(mode, op, outcome);
+        let bytes = render(&self.shared.stats, mode, op, outcome);
         let conn = self.conns[slot].as_mut().expect("checked by caller");
         conn.done.insert(seq, bytes);
         if close_after {
-            conn.stop_reading = true;
+            conn.stop_parsing = true;
             conn.close_after_flush = true;
-        }
-    }
-
-    /// Renders a response for the connection's mode, keeping the
-    /// ok/error counters honest (this is `respond` from the threaded
-    /// path, minus the socket write).
-    fn render(&self, mode: Mode, op: u16, outcome: Result<String, RequestError>) -> Vec<u8> {
-        let stats = &self.shared.stats;
-        let payload = match outcome {
-            Ok(payload) => {
-                ServeStats::bump(&stats.ok_responses);
-                payload
-            }
-            Err((kind, message)) => {
-                ServeStats::bump(&stats.error_responses);
-                match kind {
-                    ErrorKind::Overloaded => ServeStats::bump(&stats.overloaded),
-                    ErrorKind::DeadlineExceeded => ServeStats::bump(&stats.deadline_expired),
-                    _ => {}
-                }
-                error_payload(kind, &message)
-            }
-        };
-        match mode {
-            Mode::Binary => {
-                let body = binary::encode_response_payload(&payload)
-                    .expect("server responses are valid JSON");
-                binary::encode_frame(binary::KIND_RESPONSE, op, &body)
-            }
-            // Unknown cannot happen (a response implies a parsed frame),
-            // but JSON is the safe rendering if it ever did.
-            Mode::Json | Mode::Unknown => {
-                let bytes = payload.as_bytes();
-                let mut framed = Vec::with_capacity(4 + bytes.len());
-                framed.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-                framed.extend_from_slice(bytes);
-                framed
-            }
         }
     }
 
     /// Applies every queued completion, then settles the touched slots.
     fn apply_completions(&mut self) {
-        let ready = {
-            let mut list = self.completions.ready.lock().expect("completion lock");
-            std::mem::take(&mut *list)
-        };
+        let ready = std::mem::take(&mut *self.completions.lock().expect("completion lock"));
         let mut touched = Vec::new();
-        for completion in ready {
-            let Completion { slot, generation, seq, op, outcome } = completion;
-            let mode = match self.conns.get(slot).and_then(Option::as_ref) {
-                Some(conn) if conn.generation == generation => conn.mode,
-                // The connection died while the request ran; the work
-                // still counts (and so do its counters).
-                _ => {
-                    self.render(Mode::Json, op, outcome);
-                    continue;
-                }
+        for Completion { slot, generation, seq, bytes } in ready {
+            // A connection that died while its request ran gets nothing;
+            // the dispatcher already counted the response.
+            let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+                continue;
             };
-            let bytes = self.render(mode, op, outcome);
-            let conn = self.conns[slot].as_mut().expect("liveness just checked");
+            if conn.generation != generation {
+                continue;
+            }
             conn.inflight -= 1;
             conn.done.insert(seq, bytes);
+            if conn.barrier == Some(seq) {
+                conn.barrier = None;
+            }
+            if conn.inflight == 0 {
+                if let Some(write) = conn.held.take() {
+                    self.dispatch_job(write);
+                }
+            }
             touched.push(slot);
         }
         touched.sort_unstable();
@@ -743,8 +787,9 @@ impl Loop {
                 return;
             }
         }
-        // Completions may have freed pipeline slots for frames that were
-        // already buffered; those will never raise another epoll event.
+        // Completions may have freed pipeline slots or lifted a write
+        // barrier for frames that were already buffered; those will never
+        // raise another epoll event.
         if self.parse_frames(slot).is_err() {
             self.close(slot);
             return;

@@ -7,9 +7,10 @@
 //!
 //! * **Framing** ([`protocol`]): 4-byte big-endian length + UTF-8 JSON,
 //!   with typed error kinds and a hard frame-size ceiling.
-//! * **Backpressure** ([`queue`]): a bounded queue between connection
-//!   handlers and scoring workers; saturation is answered synchronously
-//!   with an `overloaded` response instead of unbounded buffering.
+//! * **Backpressure** ([`queue`]): a bounded queue between the request
+//!   dispatchers and the scoring workers; saturation is answered
+//!   synchronously with an `overloaded` response instead of unbounded
+//!   buffering.
 //! * **Micro-batching** ([`server`]): queued same-snapshot scoring jobs
 //!   are coalesced and evaluated in one [`ParallelScorer`] pass.
 //! * **Caching** ([`cache`]): an LRU keyed by (snapshot, function, set

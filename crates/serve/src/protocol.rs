@@ -25,6 +25,11 @@ pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 /// Default number of random-walk baseline samples per request.
 pub const DEFAULT_BASELINE_SAMPLES: usize = 10;
 
+/// Most random-walk baseline samples one request may ask for. Every
+/// sampled set is held in memory at once, so larger counts are refused
+/// with `bad-request` before any work is queued.
+pub const MAX_BASELINE_SAMPLES: usize = 10_000;
+
 /// Typed failure classes a response can carry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ErrorKind {
@@ -679,8 +684,9 @@ impl Request {
     }
 }
 
-/// Renders the standard error response payload.
-pub fn error_payload(kind: ErrorKind, message: &str) -> String {
+/// The standard error response envelope:
+/// `{"ok":false,"error":{"kind":…,"message":…}}`.
+pub(crate) fn error_value(kind: ErrorKind, message: &str) -> Value {
     Value::Map(vec![
         ("ok".to_string(), Value::Bool(false)),
         (
@@ -691,14 +697,23 @@ pub fn error_payload(kind: ErrorKind, message: &str) -> String {
             ]),
         ),
     ])
-    .to_string()
 }
 
-/// Renders a success response: `{"ok":true, ...fields}`.
-pub fn ok_payload(fields: Vec<(String, Value)>) -> String {
+/// A success response envelope: `{"ok":true, ...fields}`.
+pub(crate) fn ok_value(fields: Vec<(String, Value)>) -> Value {
     let mut entries = vec![("ok".to_string(), Value::Bool(true))];
     entries.extend(fields);
-    Value::Map(entries).to_string()
+    Value::Map(entries)
+}
+
+/// Renders the standard error response payload as JSON.
+pub fn error_payload(kind: ErrorKind, message: &str) -> String {
+    error_value(kind, message).to_string()
+}
+
+/// Renders a success response as JSON: `{"ok":true, ...fields}`.
+pub fn ok_payload(fields: Vec<(String, Value)>) -> String {
+    ok_value(fields).to_string()
 }
 
 /// Encodes raw bytes as lowercase hex — how CKW1 replication frames ride

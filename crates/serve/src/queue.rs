@@ -1,8 +1,8 @@
 //! [`BoundedQueue`]: the service's explicit backpressure point.
 //!
-//! Connection handlers `try_push` work items; when the queue is at
-//! capacity the push fails *immediately* and the handler answers with a
-//! typed `overloaded` response — the service never buffers without bound
+//! Producers `try_push` work items; when the queue is at capacity the
+//! push fails *immediately* and the request is answered with a typed
+//! `overloaded` response — the service never buffers without bound
 //! and clients learn about saturation synchronously instead of through
 //! timeouts. Workers block on [`BoundedQueue::pop`], which also lets them
 //! peek-drain compatible follow-up items for micro-batching

@@ -3,7 +3,7 @@
 //! Each snapshot is loaded once — via the CKS1 zero-copy mmap path when
 //! the host supports it ([`circlekit_store::MappedSnapshot`] falls back
 //! to the aligned buffered read otherwise) — and then shared read-only
-//! behind an [`Arc`] by every connection handler and scoring worker.
+//! behind an [`Arc`] by every request dispatcher and scoring worker.
 //! Graph-level precomputation (the median degree that FOMD needs) runs at
 //! load time so request handling never repeats it, and so served scores
 //! use exactly the inputs the offline `Scorer` would.

@@ -13,10 +13,10 @@
 //! byte-identical prefix of the primary's, and its scores are
 //! byte-identical to the primary's at that offset.
 //!
-//! On the primary, the connection handler that parsed the `replicate`
-//! request turns into a **subscription loop**: replay from the
-//! subscriber's offset, then tail live batches, waiting for each ack
-//! before shipping the next batch. A base-CRC mismatch (different
+//! On the primary, the event loop hands the connection that sent the
+//! `replicate` request to a thread running a **subscription loop**:
+//! replay from the subscriber's offset, then tail live batches, waiting
+//! for each ack before shipping the next batch. A base-CRC mismatch (different
 //! snapshot file, or a compaction that rewrote the base mid-stream) is
 //! answered with a typed `replication-mismatch` error and a close —
 //! never with frames from a different history.

@@ -1,15 +1,20 @@
-//! The daemon: acceptor, connection handlers, and the scoring worker
-//! pool, glued together by the bounded job queue.
+//! The daemon: the epoll front end, its dispatcher pool, and the
+//! scoring worker pool, glued together by the bounded job queue.
 //!
 //! ## Threading model
 //!
-//! * One **acceptor** polls a non-blocking listener so it can observe
-//!   shutdown (from the `shutdown` op, [`ShutdownHandle::trigger`], or a
-//!   watched SIGINT flag) within one poll interval.
-//! * One **handler** thread per connection reads frames, answers cheap
-//!   ops (`health`, `stats`, listings, cache hits) inline, and pushes
-//!   scoring work onto the bounded queue — refusing with a typed
-//!   `overloaded` response the instant the queue is full.
+//! * One **event-loop** thread ([`crate::event_loop`]) owns the listener
+//!   and every connection. It reads and parses frames, answers
+//!   `shutdown` and framing defects itself, and hands every other
+//!   request to the dispatcher pool. It observes shutdown (from the
+//!   `shutdown` op, [`ShutdownHandle::trigger`], or a watched SIGINT /
+//!   SIGTERM flag) within one poll interval.
+//! * `max(8, 4 × workers)` **dispatchers** run [`handle_request`]: cheap
+//!   ops (`health`, `stats`, listings, cache hits) are answered inline,
+//!   scoring work is pushed onto the bounded queue — refused with a
+//!   typed `overloaded` response the instant the queue is full — and the
+//!   dispatcher encodes the response frame for its connection's wire
+//!   mode before handing it back to the loop.
 //! * `workers` **scoring workers** pop jobs in micro-batches
 //!   ([`BoundedQueue::pop_batch`] coalesces same-snapshot scoring jobs up
 //!   to `batch_max`) and evaluate each batch with one
@@ -18,18 +23,16 @@
 //!
 //! ## Shutdown
 //!
-//! Triggering shutdown is cooperative and drains: the acceptor stops
-//! accepting, handlers finish the request in flight and close, queued
-//! jobs are still executed and answered, then the workers exit.
+//! Triggering shutdown is cooperative and drains: the event loop stops
+//! accepting and reading, requests already received are still answered,
+//! queued jobs are still executed, then the workers exit.
 //! [`Server::join`] sequences those steps and returns the final counter
 //! snapshot.
 
-use crate::binary;
 use crate::cache::{CacheKey, ScoreCache};
 use crate::coordinator::{Coordinator, CoordinatorConfig};
 use crate::protocol::{
-    error_payload, ok_payload, read_frame_patiently, set_digest, wire, write_frame, ErrorKind,
-    FrameError, Request, RequestError,
+    ok_value, set_digest, wire, ErrorKind, Request, RequestError, MAX_BASELINE_SAMPLES,
 };
 use crate::queue::{BoundedQueue, PushError};
 use crate::registry::{LoadedSnapshot, SnapshotRegistry};
@@ -43,8 +46,8 @@ use circlekit_sampling::size_matched_random_walk_sets_parallel_with_control;
 use circlekit_scoring::{ParallelScorer, Scorer, ScoringFunction};
 use serde_json::Value;
 use std::collections::HashMap;
-use std::io::{self, Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -53,9 +56,6 @@ use std::time::Duration;
 
 /// How often blocked loops re-check the shutdown flag.
 pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(50);
-/// Mid-frame polls tolerated after shutdown before a stalled connection
-/// is dropped (~2 s at [`POLL_INTERVAL`]).
-pub(crate) const SHUTDOWN_GRACE_POLLS: u32 = 40;
 
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
@@ -89,26 +89,6 @@ pub struct ServeConfig {
     /// processes instead of serving local snapshots (see
     /// [`crate::coordinator`]). Mutually exclusive with `replica_of`.
     pub coordinator: Option<CoordinatorConfig>,
-    /// Serve connections from the epoll event loop
-    /// ([`crate::event_loop`]) instead of a thread per connection.
-    pub event_loop: bool,
-    /// Dispatcher threads bridging the event loop to [`handle_request`]
-    /// (0 = auto: `max(8, workers * 4)`). Ignored without `event_loop`.
-    pub dispatchers: usize,
-}
-
-impl ServeConfig {
-    /// The effective dispatcher-pool size for the event loop. The floor
-    /// of 8 keeps enough dispatchers idle that a request arriving while
-    /// the scoring queue is saturated is still *refused* synchronously
-    /// (`overloaded`) rather than parked behind the blocked ones.
-    pub fn dispatcher_count(&self) -> usize {
-        if self.dispatchers > 0 {
-            self.dispatchers
-        } else {
-            (self.workers * 4).max(8)
-        }
-    }
 }
 
 impl Default for ServeConfig {
@@ -125,13 +105,11 @@ impl Default for ServeConfig {
             repl_crash_point: None,
             fault: FaultPlan::default(),
             coordinator: None,
-            event_loop: true,
-            dispatchers: 0,
         }
     }
 }
 
-/// What a worker hands back to the handler that enqueued a job.
+/// What a worker hands back to the dispatcher that enqueued a job.
 enum JobOutput {
     Scores(Vec<f64>),
     Baseline { set_scores: Vec<f64>, baseline_means: Vec<f64> },
@@ -239,16 +217,17 @@ impl ShutdownHandle {
 pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
-    acceptor: JoinHandle<()>,
+    event_loop: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
-    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    /// Threads serving replication subscriptions the loop handed off.
+    subscriptions: Arc<Mutex<Vec<JoinHandle<()>>>>,
     /// Replica tail threads (empty unless `replica_of` is set).
     tails: Vec<JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// acceptor and worker threads.
+    /// event-loop and worker threads.
     ///
     /// # Errors
     ///
@@ -300,7 +279,7 @@ impl Server {
             registry,
             config,
         });
-        let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let subscriptions: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let workers = (0..shared.config.workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -310,26 +289,19 @@ impl Server {
                     .expect("spawn worker thread")
             })
             .collect();
-        let acceptor = {
+        let event_loop = {
             let shared = Arc::clone(&shared);
-            let handlers = Arc::clone(&handlers);
-            if shared.config.event_loop {
-                std::thread::Builder::new()
-                    .name("ck-serve-loop".to_string())
-                    .spawn(move || crate::event_loop::run(listener, &shared, &handlers))
-                    .expect("spawn event-loop thread")
-            } else {
-                std::thread::Builder::new()
-                    .name("ck-serve-acceptor".to_string())
-                    .spawn(move || accept_loop(&listener, &shared, &handlers))
-                    .expect("spawn acceptor thread")
-            }
+            let subscriptions = Arc::clone(&subscriptions);
+            std::thread::Builder::new()
+                .name("ck-serve-loop".to_string())
+                .spawn(move || crate::event_loop::run(listener, &shared, &subscriptions))
+                .expect("spawn event-loop thread")
         };
         let tails = match shared.config.replica_of.clone() {
             Some(primary) => replication::spawn_replica_tails(&shared, &primary),
             None => Vec::new(),
         };
-        Ok(Server { shared, addr, acceptor, workers, handlers, tails })
+        Ok(Server { shared, addr, event_loop, workers, subscriptions, tails })
     }
 
     /// The bound address (with the actual port when 0 was requested).
@@ -348,13 +320,14 @@ impl Server {
     }
 
     /// Blocks until shutdown is triggered, drains, and returns the final
-    /// counters: acceptor exit → handler drain → queued jobs executed →
-    /// workers exit.
+    /// counters: event-loop exit (its dispatchers drained) → replication
+    /// subscriptions end → queued jobs executed → workers exit.
     pub fn join(self) -> StatsSnapshot {
-        self.acceptor.join().expect("acceptor thread panicked");
-        let handles = std::mem::take(&mut *self.handlers.lock().expect("handler registry lock"));
+        self.event_loop.join().expect("event-loop thread panicked");
+        let handles =
+            std::mem::take(&mut *self.subscriptions.lock().expect("subscription registry lock"));
         for handle in handles {
-            handle.join().expect("connection handler panicked");
+            handle.join().expect("replication subscription thread panicked");
         }
         self.shared.queue.close();
         for worker in self.workers {
@@ -402,312 +375,10 @@ fn adopt_write_ahead_logs(
     Ok(live)
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    handlers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    let termination = shared.config.watch_signals.then(crate::signal::termination_flag);
-    loop {
-        if let Some(flag) = termination {
-            if flag.load(Ordering::Relaxed) {
-                shared.trigger_shutdown();
-            }
-        }
-        if shared.shutting_down() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Responses are written as prefix + payload; without
-                // NODELAY that write pattern stalls on delayed ACKs.
-                let _ = stream.set_nodelay(true);
-                ServeStats::bump(&shared.stats.connections);
-                let shared = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
-                    .name("ck-serve-conn".to_string())
-                    .spawn(move || handle_connection(stream, &shared))
-                    .expect("spawn connection handler");
-                handlers.lock().expect("handler registry lock").push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            // Transient accept failures (e.g. aborted handshakes) should
-            // not kill the service.
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
-    }
-}
-
-/// Reads one frame, polling the shutdown flag between read timeouts.
-/// `Ok(None)` means "close this connection without an error" (clean EOF,
-/// or shutdown while idle / stalled beyond the grace window).
-fn read_frame_polled(stream: &mut TcpStream, shared: &Shared) -> Result<Option<String>, FrameError> {
-    let mut shutdown_polls = 0u32;
-    let result = read_frame_patiently(stream, |mid_frame| {
-        if !shared.shutting_down() {
-            return true;
-        }
-        // Shutdown while idle closes immediately; a started frame gets a
-        // grace window to finish arriving before the connection drops.
-        if !mid_frame {
-            return false;
-        }
-        shutdown_polls += 1;
-        shutdown_polls <= SHUTDOWN_GRACE_POLLS
-    });
-    match result {
-        Err(FrameError::Closed) => Ok(None),
-        other => other,
-    }
-}
-
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
-    // The timeout makes every blocking read a shutdown checkpoint.
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
-        return;
-    }
-    // The first byte picks the protocol for the connection's lifetime:
-    // CKP1 frames open with the magic, JSON length prefixes never do.
-    let mut first = [0u8; 1];
-    loop {
-        if shared.shutting_down() {
-            return;
-        }
-        match stream.peek(&mut first) {
-            Ok(0) => return,
-            Ok(_) => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {}
-            Err(_) => return,
-        }
-    }
-    if binary::sniff_binary(first[0]) {
-        return handle_binary_connection(&mut stream, shared);
-    }
-    loop {
-        // Between requests, shutdown closes idle connections immediately.
-        if shared.shutting_down() {
-            return;
-        }
-        let payload = match read_frame_polled(&mut stream, shared) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => return,
-            Err(FrameError::TooLarge(len)) => {
-                // The payload was never read, so the stream is out of
-                // sync: answer once, then close.
-                ServeStats::bump(&shared.stats.requests);
-                let message = format!("frame length {len} exceeds the limit");
-                let _ = respond(
-                    &mut stream,
-                    shared,
-                    Err((ErrorKind::FrameTooLarge, message)),
-                );
-                return;
-            }
-            // Truncated / non-UTF-8 / hard I/O: nothing sane to answer
-            // on a desynchronised stream — close cleanly.
-            Err(_) => return,
-        };
-        ServeStats::bump(&shared.stats.requests);
-        let request = Request::parse(&payload);
-        let mut close_after = false;
-        let outcome = match request {
-            Err(err) => Err(err),
-            Ok(Request::Shutdown) => {
-                close_after = true;
-                shared.trigger_shutdown();
-                Ok(ok_payload(vec![(
-                    "message".to_string(),
-                    Value::Str("draining".to_string()),
-                )]))
-            }
-            Ok(Request::Replicate { snapshot, base_crc, wal_offset }) => {
-                // A subscription takes over the connection: the loop
-                // below streams batches until either side ends it.
-                replication::serve_subscription(
-                    &mut stream, shared, &snapshot, base_crc, wal_offset,
-                );
-                return;
-            }
-            Ok(request) => handle_request(request, shared),
-        };
-        if respond(&mut stream, shared, outcome).is_err() || close_after {
-            return;
-        }
-    }
-}
-
-/// Like [`read_frame_polled`], for CKP1 frames: `Ok(None)` means "close
-/// without an error", a `Malformed` error means the peer's framing is
-/// broken (answer once, then close).
-fn read_binary_frame_polled(
-    stream: &mut TcpStream,
-    shared: &Shared,
-) -> Result<Option<binary::Frame>, binary::ReadError> {
-    let mut shutdown_polls = 0u32;
-    let result = binary::read_frame_patiently(stream, |mid_frame| {
-        if !shared.shutting_down() {
-            return true;
-        }
-        if !mid_frame {
-            return false;
-        }
-        shutdown_polls += 1;
-        shutdown_polls <= SHUTDOWN_GRACE_POLLS
-    });
-    match result {
-        Err(binary::ReadError::Frame(FrameError::Closed)) => Ok(None),
-        other => other,
-    }
-}
-
-/// The CKP1 counterpart of the JSON request loop: same dispatch, same
-/// failure matrix as the event-loop front end. A framing defect draws
-/// one typed error and closes (nothing past a broken header is
-/// trustworthy); a response-kind frame draws a typed error echoing its
-/// op and the connection survives.
-fn handle_binary_connection(stream: &mut TcpStream, shared: &Arc<Shared>) {
-    ServeStats::bump(&shared.stats.binary_connections);
-    loop {
-        if shared.shutting_down() {
-            return;
-        }
-        let frame = match read_binary_frame_polled(stream, shared) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return,
-            Err(binary::ReadError::Malformed(defect)) => {
-                ServeStats::bump(&shared.stats.requests);
-                let kind = match defect {
-                    binary::BinaryError::TooLarge(_) => ErrorKind::FrameTooLarge,
-                    _ => ErrorKind::BadRequest,
-                };
-                let _ = respond_binary(
-                    stream,
-                    shared,
-                    binary::OP_UNKNOWN,
-                    Err((kind, defect.to_string())),
-                );
-                // Unread bytes past the defect would turn the close into
-                // a reset that destroys the error frame in flight: say
-                // we are done writing, drain briefly, then close.
-                let _ = stream.shutdown(std::net::Shutdown::Write);
-                let mut scratch = [0u8; 4096];
-                for _ in 0..SHUTDOWN_GRACE_POLLS {
-                    match stream.read(&mut scratch) {
-                        Ok(0) => break,
-                        Ok(_) => {}
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(e)
-                            if matches!(
-                                e.kind(),
-                                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                            ) => {}
-                        Err(_) => break,
-                    }
-                }
-                return;
-            }
-            // Truncated or hard I/O: the stream is desynchronised —
-            // close cleanly, as the JSON path does.
-            Err(binary::ReadError::Frame(_)) => return,
-        };
-        ServeStats::bump(&shared.stats.requests);
-        if frame.kind != binary::KIND_REQUEST {
-            let err = (
-                ErrorKind::BadRequest,
-                "only request frames may be sent to a server".to_string(),
-            );
-            if respond_binary(stream, shared, frame.op, Err(err)).is_err() {
-                return;
-            }
-            continue;
-        }
-        let mut close_after = false;
-        let outcome = match binary::decode_request(frame.op, &frame.payload) {
-            Err(err) => Err(err),
-            Ok(Request::Shutdown) => {
-                close_after = true;
-                shared.trigger_shutdown();
-                Ok(ok_payload(vec![(
-                    "message".to_string(),
-                    Value::Str("draining".to_string()),
-                )]))
-            }
-            Ok(Request::Replicate { .. }) => Err((
-                ErrorKind::BadRequest,
-                "replicate requires the JSON protocol (the WAL stream is JSON-framed)"
-                    .to_string(),
-            )),
-            Ok(request) => handle_request(request, shared),
-        };
-        if respond_binary(stream, shared, frame.op, outcome).is_err() || close_after {
-            return;
-        }
-    }
-}
-
-/// [`respond`] in CKP1 framing, echoing the request's op.
-fn respond_binary(
-    stream: &mut TcpStream,
-    shared: &Shared,
-    op: u16,
-    outcome: Result<String, RequestError>,
-) -> io::Result<()> {
-    let payload = match outcome {
-        Ok(payload) => {
-            ServeStats::bump(&shared.stats.ok_responses);
-            payload
-        }
-        Err((kind, message)) => {
-            ServeStats::bump(&shared.stats.error_responses);
-            match kind {
-                ErrorKind::Overloaded => ServeStats::bump(&shared.stats.overloaded),
-                ErrorKind::DeadlineExceeded => {
-                    ServeStats::bump(&shared.stats.deadline_expired)
-                }
-                _ => {}
-            }
-            error_payload(kind, &message)
-        }
-    };
-    let body =
-        binary::encode_response_payload(&payload).expect("server responses are valid JSON");
-    binary::write_frame(stream, binary::KIND_RESPONSE, op, &body)
-}
-
-/// Writes the response (success payload or rendered error), keeping the
-/// ok/error counters honest.
-fn respond(
-    stream: &mut TcpStream,
-    shared: &Shared,
-    outcome: Result<String, RequestError>,
-) -> io::Result<()> {
-    let payload = match outcome {
-        Ok(payload) => {
-            ServeStats::bump(&shared.stats.ok_responses);
-            payload
-        }
-        Err((kind, message)) => {
-            ServeStats::bump(&shared.stats.error_responses);
-            match kind {
-                ErrorKind::Overloaded => ServeStats::bump(&shared.stats.overloaded),
-                ErrorKind::DeadlineExceeded => {
-                    ServeStats::bump(&shared.stats.deadline_expired)
-                }
-                _ => {}
-            }
-            error_payload(kind, &message)
-        }
-    };
-    write_frame(stream, &payload)?;
-    stream.flush()
-}
-
-pub(crate) fn handle_request(request: Request, shared: &Arc<Shared>) -> Result<String, RequestError> {
+/// Answers one request with its response envelope: the one tree that
+/// both wire encoders render ([`crate::event_loop`]). `shutdown` and
+/// `replicate` never arrive here; the loop handles them itself.
+pub(crate) fn handle_request(request: Request, shared: &Arc<Shared>) -> Result<Value, RequestError> {
     // A coordinator answers (or refuses) almost every op itself — by
     // scatter-gathering the shard fleet — so clients speak to it exactly
     // as they would to a single-node server. The few ops it passes back
@@ -718,11 +389,11 @@ pub(crate) fn handle_request(request: Request, shared: &Arc<Shared>) -> Result<S
         }
     }
     match request {
-        Request::Health => Ok(ok_payload(vec![
+        Request::Health => Ok(ok_value(vec![
             ("status".to_string(), Value::Str("serving".to_string())),
             ("snapshots".to_string(), Value::UInt(shared.registry.len() as u64)),
         ])),
-        Request::Stats => Ok(ok_payload(shared.stats_snapshot().to_fields())),
+        Request::Stats => Ok(ok_value(shared.stats_snapshot().to_fields())),
         Request::ListSnapshots => {
             let snapshots: Vec<Value> = shared
                 .registry
@@ -740,13 +411,13 @@ pub(crate) fn handle_request(request: Request, shared: &Arc<Shared>) -> Result<S
                     ])
                 })
                 .collect();
-            Ok(ok_payload(vec![("snapshots".to_string(), Value::Seq(snapshots))]))
+            Ok(ok_value(vec![("snapshots".to_string(), Value::Seq(snapshots))]))
         }
         Request::ListGroups { snapshot } => {
             let snap = resolve_snapshot(shared, &snapshot)?;
             let sizes: Vec<Value> =
                 snap.groups.iter().map(|g| Value::UInt(g.len() as u64)).collect();
-            Ok(ok_payload(vec![
+            Ok(ok_value(vec![
                 ("snapshot".to_string(), Value::Str(snap.id.clone())),
                 ("groups".to_string(), Value::UInt(sizes.len() as u64)),
                 ("sizes".to_string(), Value::Seq(sizes)),
@@ -757,7 +428,7 @@ pub(crate) fn handle_request(request: Request, shared: &Arc<Shared>) -> Result<S
             let set = resolve_group(&snap, group)?;
             let mut fields = vec![("group".to_string(), Value::UInt(group as u64))];
             fields.extend(score_request(shared, &snap, set, &functions, deadline_ms)?);
-            Ok(ok_payload(with_op("score_group", &snap.id, fields)))
+            Ok(ok_value(with_op("score_group", &snap.id, fields)))
         }
         Request::ScoreSet { snapshot, members, functions, deadline_ms } => {
             let snap = resolve_snapshot(shared, &snapshot)?;
@@ -775,15 +446,15 @@ pub(crate) fn handle_request(request: Request, shared: &Arc<Shared>) -> Result<S
                 ));
             }
             let fields = score_request(shared, &snap, set, &functions, deadline_ms)?;
-            Ok(ok_payload(with_op("score_set", &snap.id, fields)))
+            Ok(ok_value(with_op("score_set", &snap.id, fields)))
         }
         Request::Baseline { snapshot, group, functions, samples, seed, deadline_ms } => {
             let snap = resolve_snapshot(shared, &snapshot)?;
             let set = resolve_group(&snap, group)?;
-            if samples == 0 {
+            if samples == 0 || samples > MAX_BASELINE_SAMPLES {
                 return Err((
                     ErrorKind::BadRequest,
-                    "field \"samples\" must be at least 1".to_string(),
+                    format!("field \"samples\" must be between 1 and {MAX_BASELINE_SAMPLES}"),
                 ));
             }
             let size = set.len();
@@ -813,7 +484,7 @@ pub(crate) fn handle_request(request: Request, shared: &Arc<Shared>) -> Result<S
                         ("set_scores".to_string(), wire::score_array(&set_scores)),
                         ("baseline_means".to_string(), wire::score_array(&baseline_means)),
                     ];
-                    Ok(ok_payload(with_op("baseline", &snap.id, fields)))
+                    Ok(ok_value(with_op("baseline", &snap.id, fields)))
                 }
                 _ => Err(internal("baseline job returned the wrong output kind")),
             }
@@ -842,7 +513,7 @@ pub(crate) fn handle_request(request: Request, shared: &Arc<Shared>) -> Result<S
                         ("wal_records".to_string(), Value::UInt(wal_records)),
                         ("cache_invalidated".to_string(), Value::UInt(invalidated)),
                     ];
-                    Ok(ok_payload(with_op("apply_mutations", &snap.id, fields)))
+                    Ok(ok_value(with_op("apply_mutations", &snap.id, fields)))
                 }
                 _ => Err(internal("apply job returned the wrong output kind")),
             }
@@ -865,7 +536,7 @@ pub(crate) fn handle_request(request: Request, shared: &Arc<Shared>) -> Result<S
                         ("folded_records".to_string(), Value::UInt(folded)),
                         ("path".to_string(), Value::Str(snap.path.clone())),
                     ];
-                    Ok(ok_payload(with_op("compact", &snap.id, fields)))
+                    Ok(ok_value(with_op("compact", &snap.id, fields)))
                 }
                 _ => Err(internal("compact job returned the wrong output kind")),
             }
@@ -895,7 +566,7 @@ pub(crate) fn handle_request(request: Request, shared: &Arc<Shared>) -> Result<S
                 ("functions".to_string(), Value::Seq(names)),
                 ("scores".to_string(), wire::score_array(&values)),
             ];
-            Ok(ok_payload(with_op("watch_scores", &snapshot, fields)))
+            Ok(ok_value(with_op("watch_scores", &snapshot, fields)))
         }
         Request::SuggestCircles { snapshot, ego, seed, min_size, top } => {
             // Answered inline, like watch_scores: the live path reads the
@@ -913,12 +584,12 @@ pub(crate) fn handle_request(request: Request, shared: &Arc<Shared>) -> Result<S
             let (reply, outcome) = mpsc::channel();
             enqueue(shared, Job::Sleep { millis, reply })?;
             wait_for(&outcome)?;
-            Ok(ok_payload(vec![("slept_ms".to_string(), Value::UInt(millis))]))
+            Ok(ok_value(vec![("slept_ms".to_string(), Value::UInt(millis))]))
         }
         Request::ReplStatus => {
             let mut fields = vec![("op".to_string(), Value::Str("repl_status".to_string()))];
             fields.extend(replication::status_fields(shared));
-            Ok(ok_payload(fields))
+            Ok(ok_value(fields))
         }
         Request::ShardStats { snapshot, group, members, deadline_ms } => {
             let snap = resolve_snapshot(shared, &snapshot)?;
@@ -995,18 +666,18 @@ pub(crate) fn handle_request(request: Request, shared: &Arc<Shared>) -> Result<S
                 ),
                 ("odf_values".to_string(), wire::score_array(&partial.odf_values)),
             ];
-            Ok(ok_payload(with_op("shard_stats", &snap.id, fields)))
+            Ok(ok_value(with_op("shard_stats", &snap.id, fields)))
         }
         Request::ReplAck { .. } => Err((
             ErrorKind::BadRequest,
             "repl_ack is only valid inside a replication subscription".to_string(),
         )),
-        // Handled by the connection loop so it can take over the stream.
+        // Handled by the event loop so it can hand the stream off.
         Request::Replicate { .. } => {
-            Err(internal("replicate must be handled by the connection loop"))
+            Err(internal("replicate must be handled by the event loop"))
         }
-        // Handled by the connection loop so it can close afterwards.
-        Request::Shutdown => Err(internal("shutdown must be handled by the connection loop")),
+        // Handled by the event loop so it can close afterwards.
+        Request::Shutdown => Err(internal("shutdown must be handled by the event loop")),
     }
 }
 
@@ -1026,7 +697,7 @@ fn run_suggest(
     seed: u64,
     min_size: usize,
     top: usize,
-) -> Result<String, RequestError> {
+) -> Result<Value, RequestError> {
     let no_such_ego = |n: usize| {
         (
             ErrorKind::NotFound,
@@ -1098,10 +769,10 @@ fn run_suggest(
     Ok(suggest_response(snapshot, version, false, &suggestion))
 }
 
-/// Renders the `suggest_circles` response envelope. Scores go through
+/// Builds the `suggest_circles` response envelope. Scores go through
 /// [`wire::score_value`], so they cross the wire bit-exactly and the CLI
 /// can re-render the identical table.
-fn suggest_response(snapshot: &str, version: u64, cached: bool, s: &Suggestion) -> String {
+fn suggest_response(snapshot: &str, version: u64, cached: bool, s: &Suggestion) -> Value {
     let candidates: Vec<Value> = s
         .candidates
         .iter()
@@ -1126,7 +797,7 @@ fn suggest_response(snapshot: &str, version: u64, cached: bool, s: &Suggestion) 
         ("alters".to_string(), Value::UInt(s.alters as u64)),
         ("candidates".to_string(), Value::Seq(candidates)),
     ];
-    ok_payload(with_op("suggest_circles", snapshot, fields))
+    ok_value(with_op("suggest_circles", snapshot, fields))
 }
 
 /// Shard sub-snapshots are bound to their parent by the manifest's CRC
@@ -1225,19 +896,22 @@ fn resolve_snapshot(
     shared: &Shared,
     id: &str,
 ) -> Result<Arc<LoadedSnapshot>, RequestError> {
+    // Committed mutations outrun the registry's materialization. Catch
+    // up lazily — the composed graph is rebuilt at most once per version,
+    // however many batches a burst committed — and swap a fresh immutable
+    // entry in; jobs holding the old Arc keep a consistent graph. The
+    // entry is read under the live-state lock, so requests queued behind
+    // a rebuild see its result instead of rebuilding again.
+    let mut states = shared.live.lock().expect("live state lock");
     let snap = shared
         .registry
         .get(id)
         .ok_or_else(|| (ErrorKind::NotFound, format!("unknown snapshot {id:?}")))?;
-    // Committed mutations outrun the registry's materialization. Catch
-    // up lazily — the composed graph is rebuilt at most once per version,
-    // however many batches a burst committed — and swap a fresh immutable
-    // entry in; jobs holding the old Arc keep a consistent graph.
-    let mut states = shared.live.lock().expect("live state lock");
     let Some(state) = states.get_mut(id) else { return Ok(snap) };
     if state.version == snap.version {
         return Ok(snap);
     }
+    ServeStats::bump(&shared.stats.rematerializations);
     let graph = state.live.materialize();
     let groups = state.live.groups().to_vec();
     let median_degree = Scorer::new(&graph).median_degree();

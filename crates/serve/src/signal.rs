@@ -4,7 +4,7 @@
 //! installed through a minimal `extern "C"` binding to `signal(2)` — the
 //! same approach `circlekit-store` uses for `mmap`. The handler itself
 //! only stores into an [`AtomicBool`] (async-signal-safe); the server's
-//! acceptor polls the flag and promotes it to a cooperative drain. Both
+//! event loop polls the flag and promotes it to a cooperative drain. Both
 //! SIGINT (interactive ^C) and SIGTERM (the `kill` default, what service
 //! managers send) raise the same flag: either way the daemon drains
 //! queued work and exits cleanly.

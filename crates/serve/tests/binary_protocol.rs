@@ -1,22 +1,24 @@
 //! CKP1 acceptance properties over real sockets: every op round-trips
 //! the binary codec bit-identically (property-tested), JSON-mode and
-//! binary-mode responses render byte-identical score tables, pipelined
-//! requests come back in request order, a burst of simultaneous
-//! connects sees zero refused, every malformed-frame shape is a
-//! typed error or a clean close — never a panic or a hang — and the
-//! thread-per-connection front end negotiates CKP1 exactly like the
-//! event loop.
+//! binary-mode responses carry the same tree and render byte-identical
+//! score tables, pipelined requests come back in request order,
+//! pipelined writes execute in request order in both wire modes, a
+//! burst of simultaneous connects sees zero refused, and every
+//! malformed-frame shape is a typed error or a clean close — never a
+//! panic or a hang.
 
 use circlekit_scoring::ScoringFunction;
 use circlekit_serve::binary;
+use circlekit_serve::protocol::wire;
 use circlekit_serve::{
-    Client, ClientOptions, Mutation, Request, ServeConfig, Server, SnapshotRegistry,
+    write_frame, Client, ClientOptions, Mutation, Request, ServeConfig, Server, SnapshotRegistry,
     MAX_FRAME_LEN,
 };
 use circlekit_synth::presets;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use serde_json::Value;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -215,6 +217,8 @@ fn json_and_binary_modes_render_byte_identical_score_tables() {
         Request::Health,
         Request::ListSnapshots,
         Request::ListGroups { snapshot: "gplus".to_string() },
+        // An error envelope (`not-found`) must agree across modes too.
+        Request::ListGroups { snapshot: "missing".to_string() },
         Request::ScoreSet {
             snapshot: "gplus".to_string(),
             members,
@@ -249,10 +253,15 @@ fn json_and_binary_modes_render_byte_identical_score_tables() {
         let frame = read_binary_frame(&mut bin).expect("binary response");
         assert_eq!(frame.kind, binary::KIND_RESPONSE);
         assert_eq!(frame.op, op);
-        let via_binary = binary::decode_response_payload(&frame.payload).unwrap().to_string();
+        let tree = binary::decode_response_payload(&frame.payload).unwrap();
 
+        // The server encodes one tree twice: the bval-decoded tree is the
+        // JSON-parsed one, and so renders to the same bytes.
+        let parsed: Value = serde_json::from_str(&via_json).unwrap();
+        assert_eq!(tree, parsed, "response tree diverged across wire modes for {request:?}");
         assert_eq!(
-            via_binary, via_json,
+            tree.to_string(),
+            via_json,
             "rendered response diverged across wire modes for {request:?}"
         );
     }
@@ -285,63 +294,8 @@ fn binary_client_scores_match_json_client_bit_for_bit() {
     server.join();
 }
 
-#[test]
-fn threaded_front_end_negotiates_ckp1_like_the_event_loop() {
-    // `--event-loop off` must speak the same two protocols: the thread-
-    // per-connection path sniffs the first byte exactly like the loop.
-    let (server, data) =
-        start_server(ServeConfig { event_loop: false, ..ServeConfig::default() });
-    let addr = server.local_addr();
-    let options = ClientOptions {
-        connect_timeout: Some(Duration::from_secs(5)),
-        read_timeout: Some(Duration::from_secs(10)),
-        binary: true,
-    };
-    let mut binary_client = Client::connect_with_options(addr, options).unwrap();
-    assert!(binary_client.is_binary());
-    let mut json_client = Client::connect(addr).unwrap();
-    for g in 0..data.groups.len().min(4) {
-        let a = binary_client.score_group("gplus", g, Some("all"), None).unwrap();
-        let b = json_client.score_group("gplus", g, Some("all"), None).unwrap();
-        let a_bits: Vec<u64> =
-            Client::scores_of(&a).unwrap().iter().map(|s| s.to_bits()).collect();
-        let b_bits: Vec<u64> =
-            Client::scores_of(&b).unwrap().iter().map(|s| s.to_bits()).collect();
-        assert_eq!(a_bits, b_bits, "group {g} diverged across client modes");
-    }
-
-    // Same failure matrix as the event loop: a response-kind frame draws
-    // a typed error echoing its op and the connection survives.
-    let mut stream = connect_raw(addr);
-    let (op, payload) = binary::encode_request(&Request::Health);
-    stream.write_all(&binary::encode_frame(binary::KIND_RESPONSE, op, &payload)).unwrap();
-    let frame = read_binary_frame(&mut stream).expect("typed error for response-kind frame");
-    assert_eq!(frame.op, op);
-    let envelope = binary::decode_response_payload(&frame.payload).unwrap().to_string();
-    assert!(envelope.contains("bad-request"), "{envelope}");
-    stream.write_all(&binary::encode_frame(binary::KIND_REQUEST, op, &payload)).unwrap();
-    let frame = read_binary_frame(&mut stream).expect("connection survived the bad frame");
-    let envelope = binary::decode_response_payload(&frame.payload).unwrap().to_string();
-    assert!(envelope.contains("serving"), "{envelope}");
-
-    // A framing defect draws one typed error, then the stream closes.
-    let mut stream = connect_raw(addr);
-    let mut bad = binary::encode_frame(binary::KIND_REQUEST, op, &payload);
-    bad[0] = b'C';
-    bad[1] = b'X'; // still sniffs as binary, then fails the magic check
-    stream.write_all(&bad).unwrap();
-    let frame = read_binary_frame(&mut stream).expect("typed error for bad magic");
-    assert_eq!(frame.op, binary::OP_UNKNOWN);
-    let envelope = binary::decode_response_payload(&frame.payload).unwrap().to_string();
-    assert!(envelope.contains("bad-request"), "{envelope}");
-    assert!(read_binary_frame(&mut stream).is_none(), "stream must close after the defect");
-
-    server.shutdown_handle().trigger();
-    server.join();
-}
-
 // ---------------------------------------------------------------------
-// Pipelining: responses strictly in request order
+// Pipelining: responses delivered, and writes executed, in request order
 // ---------------------------------------------------------------------
 
 #[test]
@@ -388,6 +342,71 @@ fn pipelined_binary_requests_come_back_in_request_order() {
     }
     server.shutdown_handle().trigger();
     server.join();
+}
+
+/// Pipelines `pairs` pairs of (`apply_mutations ["add-vertex"]`,
+/// `watch_scores`) on one connection in one wire mode, half-closes it
+/// before reading anything, and returns the `version` of every response
+/// in order.
+fn pipelined_write_read_versions(binary_mode: bool, pairs: usize) -> Vec<u64> {
+    let (server, _data) = start_server(ServeConfig::default());
+    let mut stream = connect_raw(server.local_addr());
+    let write = Request::ApplyMutations {
+        snapshot: "gplus".to_string(),
+        mutations: vec![Mutation::AddVertex],
+    };
+    let read = Request::WatchScores { snapshot: "gplus".to_string(), group: 0 };
+    let mut burst = Vec::new();
+    for _ in 0..pairs {
+        for request in [&write, &read] {
+            if binary_mode {
+                let (op, payload) = binary::encode_request(request);
+                burst.extend(binary::encode_frame(binary::KIND_REQUEST, op, &payload));
+            } else {
+                write_frame(&mut burst, &binary::encode_request_json(request)).unwrap();
+            }
+        }
+    }
+    stream.write_all(&burst).unwrap();
+    // Frames buffered behind a write must still be answered after EOF.
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+
+    let mut leftover = Vec::new();
+    let versions = (0..2 * pairs)
+        .map(|_| {
+            let tree = if binary_mode {
+                let frame = read_binary_frame_buffered(&mut stream, &mut leftover)
+                    .expect("pipelined response");
+                binary::decode_response_payload(&frame.payload).unwrap()
+            } else {
+                let text = read_json_frame(&mut stream).expect("pipelined response");
+                serde_json::from_str(&text).unwrap()
+            };
+            wire::get_u64(&tree, "version").unwrap_or_else(|e| panic!("{e:?}: {tree}"))
+        })
+        .collect();
+    server.shutdown_handle().trigger();
+    server.join();
+    versions
+}
+
+#[test]
+fn pipelined_writes_execute_in_request_order_in_both_wire_modes() {
+    const PAIRS: usize = 32;
+    for binary_mode in [false, true] {
+        let versions = pipelined_write_read_versions(binary_mode, PAIRS);
+        let writes: Vec<u64> = versions.iter().step_by(2).copied().collect();
+        let expected: Vec<u64> = (1..=PAIRS as u64).collect();
+        assert_eq!(writes, expected, "binary={binary_mode}: writes acked out of request order");
+        for pair in versions.chunks(2) {
+            assert!(
+                pair[1] >= pair[0],
+                "binary={binary_mode}: a read saw version {} after its write acked {}",
+                pair[1],
+                pair[0]
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -212,6 +212,36 @@ fn concurrent_mutators_and_scorers_keep_cache_accounting_consistent() {
     assert_eq!(stats.ok_responses + stats.error_responses, stats.requests, "{stats:?}");
 }
 
+/// Reads queued behind a write must share one rebuild of the snapshot:
+/// each committed version is rematerialized exactly once, however many
+/// readers race for it.
+#[test]
+fn each_committed_version_is_rematerialized_once() {
+    let (server, _data) = start_server(ServeConfig::default());
+    let addr = server.local_addr();
+    let mut writer = Client::connect(addr).unwrap();
+    let mut readers: Vec<Client> = (0..8).map(|_| Client::connect(addr).unwrap()).collect();
+    for _ in 0..3 {
+        writer
+            .apply_mutations("gplus", &[Mutation::AddVertex])
+            .unwrap();
+        let start = std::sync::Barrier::new(readers.len());
+        std::thread::scope(|scope| {
+            for reader in &mut readers {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    reader.score_group("gplus", 0, Some("paper"), None).unwrap();
+                });
+            }
+        });
+    }
+    let stats = writer.stats().unwrap();
+    assert_eq!(get_u64(&stats, "rematerializations"), 3, "{stats}");
+    server.shutdown_handle().trigger();
+    assert_eq!(server.join().rematerializations, 3);
+}
+
 #[test]
 fn wal_survives_restart_and_compaction_preserves_scores() {
     let dir = std::env::temp_dir().join("circlekit-serve-live-tests");

@@ -3,8 +3,10 @@
 //! typed error response or a clean close — never a panic or a hang.
 
 use circlekit_graph::Graph;
-use circlekit_serve::protocol::{read_frame, write_frame, FrameError, MAX_FRAME_LEN};
-use circlekit_serve::{Client, ErrorKind, SnapshotRegistry, ServeConfig, Server};
+use circlekit_serve::protocol::{
+    read_frame, write_frame, FrameError, MAX_BASELINE_SAMPLES, MAX_FRAME_LEN,
+};
+use circlekit_serve::{Client, ErrorKind, ServeConfig, Server, SnapshotRegistry};
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -121,6 +123,22 @@ fn expired_deadline_is_a_typed_refusal() {
     assert!(err.is_kind(ErrorKind::DeadlineExceeded), "{err}");
     // The connection still works afterwards.
     client.score_group("tiny", 0, None, None).unwrap();
+    finish(server);
+}
+
+#[test]
+fn oversized_baseline_sample_counts_are_refused_before_any_work() {
+    let server = small_server(ServeConfig::default());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    // 2^61 samples would overflow the allocation of the sampled sets and
+    // take the only scoring worker down with it.
+    let err = client.baseline("tiny", 0, 2_305_843_009_213_693_952, 2014).unwrap_err();
+    assert!(err.is_kind(ErrorKind::BadRequest), "{err}");
+    let err = client.baseline("tiny", 0, MAX_BASELINE_SAMPLES + 1, 2014).unwrap_err();
+    assert!(err.is_kind(ErrorKind::BadRequest), "{err}");
+    // The worker is unharmed: a cold score_set is still scored.
+    let response = client.score_set("tiny", &[1, 2, 3], None, None).unwrap();
+    assert_eq!(Client::scores_of(&response).unwrap().len(), 4);
     finish(server);
 }
 
