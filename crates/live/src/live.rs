@@ -5,7 +5,7 @@ use crate::mutation::Mutation;
 use crate::overlay::DeltaOverlay;
 use crate::wal::{read_wal, scan_frames, sync_parent_dir, WalHeader, WalWriter, WAL_HEADER_LEN};
 use circlekit_graph::{Graph, NodeId, VertexSet};
-use circlekit_scoring::{ScoringFunction, SetStats};
+use circlekit_scoring::{MemberTally, ScoringFunction, SetStats};
 use circlekit_store::{crc32, decode_snapshot, write_snapshot};
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -26,36 +26,19 @@ struct Aggregate {
 }
 
 impl Aggregate {
-    /// Computes the aggregate of `set` in `graph` from scratch — the same
-    /// single pass as [`SetStats::compute`], minus the fields the live
-    /// layer does not maintain.
+    /// Computes the aggregate of `set` in `graph` from scratch: the
+    /// integer tallies of the [`MemberTally`] pass [`SetStats::compute`]
+    /// runs (the FOMD threshold plays no part in them).
     fn compute(graph: &Graph, set: &VertexSet) -> Aggregate {
-        let mut internal_arcs = 0usize;
-        let mut c_c = 0usize;
-        let mut out_degree_sum = 0usize;
-        let mut in_degree_sum = 0usize;
-        for v in set.iter() {
-            for &w in graph.out_neighbors(v) {
-                if set.contains(w) {
-                    internal_arcs += 1;
-                } else {
-                    c_c += 1;
-                }
-            }
-            if graph.is_directed() {
-                for &w in graph.in_neighbors(v) {
-                    if set.contains(w) {
-                        internal_arcs += 1;
-                    } else {
-                        c_c += 1;
-                    }
-                }
-            }
-            out_degree_sum += graph.out_degree(v);
-            in_degree_sum += graph.in_degree(v);
+        let Ok(tally) = MemberTally::compute(graph, set, 0.0, |_| true);
+        debug_assert_eq!(tally.internal_arcs % 2, 0);
+        Aggregate {
+            n_c: set.len(),
+            m_c: tally.internal_arcs / 2,
+            c_c: tally.boundary,
+            out_degree_sum: tally.out_degree_sum,
+            in_degree_sum: tally.in_degree_sum,
         }
-        debug_assert_eq!(internal_arcs % 2, 0);
-        Aggregate { n_c: set.len(), m_c: internal_arcs / 2, c_c, out_degree_sum, in_degree_sum }
     }
 }
 

@@ -54,4 +54,4 @@ pub use paged::PagedScorer;
 pub use parallel::{default_threads, parse_thread_count, ParallelScorer};
 pub use robust::{BatchReport, ChunkError, RobustBatch, SetFailure};
 pub use scorer::{ScoreTable, Scorer};
-pub use set_stats::SetStats;
+pub use set_stats::{MemberTally, SetStats};

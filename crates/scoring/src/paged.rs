@@ -9,10 +9,13 @@
 //! sections of the file in and out as they are touched.
 //!
 //! The statistics are produced by the same
-//! [`SetStats::compute_access`] loop the in-memory scorer runs, so the
+//! [`MemberTally`](crate::MemberTally) pass the in-memory scorer and the
+//! shard partials run (through [`SetStats::compute_access`]), so the
 //! scores are bit-identical to the materialised path over equal
 //! adjacency — the equivalence the store's tests and the `store_scale`
-//! bench assert end-to-end.
+//! bench assert end-to-end. The pass intersects sorted lists, so a
+//! backing must serve each list in ascending order, as
+//! [`AdjacencyAccess`] promises.
 
 use crate::set_stats::median_degree_access;
 use crate::{ScoreTable, ScoringFunction, SetStats};

@@ -1,7 +1,9 @@
-//! [`SetStats`]: the sufficient statistics of a vertex set within a graph.
+//! [`SetStats`]: the sufficient statistics of a vertex set within a graph,
+//! and [`MemberTally`], the one pass over member adjacency they come
+//! from. Full stats over every backing, paged scoring, and shard
+//! partials all run that pass; only which members it tallies differs.
 
-use circlekit_graph::{AdjacencyAccess, Graph, GraphBuilder, NodeId, VertexSet};
-use circlekit_metrics::triangles_per_node;
+use circlekit_graph::{AdjacencyAccess, Graph, NodeId, VertexSet};
 
 /// The quantities of the paper's Table I (and the extra ones needed by the
 /// full Yang–Leskovec suite), computed for one vertex set `C` in a graph
@@ -70,123 +72,59 @@ impl SetStats {
     /// backing — an in-memory [`Graph`], or a compressed mmap snapshot
     /// view that decodes adjacency on demand.
     ///
-    /// [`SetStats::compute`] delegates here with the [`Graph`] impl, so
-    /// every backing runs the *same* tallying loop over the *same*
-    /// integer sequences: results are bit-identical across backings by
-    /// construction, not by parallel maintenance of two code paths.
+    /// The statistics are the [`MemberTally`] pass over every member, so
+    /// every backing — and every shard partial — runs the *same* loop
+    /// over the *same* integer sequences: results are bit-identical
+    /// across backings by construction, not by parallel maintenance of
+    /// two code paths.
     ///
     /// # Errors
     ///
     /// Whatever the backing's neighbour access reports (nothing for
-    /// [`Graph`]; a decode error for corrupt on-disk data).
+    /// [`Graph`]; a decode error for corrupt on-disk data, or a
+    /// node-out-of-range error for a member `>= node_count()` on a paged
+    /// snapshot).
     ///
     /// # Panics
     ///
-    /// May panic if `set` contains a node id `>= node_count()` (the
-    /// [`Graph`] impl indexes its CSR directly).
+    /// Panics if `set` contains a node id `>= node_count()` and the
+    /// backing panics on it, as the [`Graph`] impl does (it indexes its
+    /// CSR directly).
     pub fn compute_access<A: AdjacencyAccess>(
         access: &A,
         set: &VertexSet,
         median_degree: f64,
     ) -> Result<SetStats, A::Error> {
-        let n = access.node_count();
-        let m = access.edge_count();
-        let directed = access.is_directed();
         let n_c = set.len();
-
-        // Single pass over member adjacency: internal/external edge tallies
-        // and per-member ODF statistics.
-        let mut internal_arcs = 0usize; // internal adjacency entries seen
-        let mut boundary = 0usize;
-        let mut out_degree_sum = 0usize;
-        let mut in_degree_sum = 0usize;
-        let mut above_median_internal = 0usize;
-        let mut max_odf: f64 = 0.0;
-        let mut odf_sum = 0.0;
-        let mut flake_count = 0usize;
-
-        for v in set.iter() {
-            let mut internal_v = 0usize; // internal adjacency entries at v
-            let mut external_v = 0usize;
-            let out_deg = access.with_out_neighbors(v, |list| {
-                for &w in list {
-                    if set.contains(w) {
-                        internal_v += 1;
-                    } else {
-                        external_v += 1;
-                    }
-                }
-                list.len()
-            })?;
-            let in_deg = if directed {
-                access.with_in_neighbors(v, |list| {
-                    for &w in list {
-                        if set.contains(w) {
-                            internal_v += 1;
-                        } else {
-                            external_v += 1;
-                        }
-                    }
-                    list.len()
-                })?
-            } else {
-                // Undirected: in-adjacency is the out-adjacency, and both
-                // degree sums are the plain degree — no second decode.
-                out_deg
-            };
-            out_degree_sum += out_deg;
-            in_degree_sum += in_deg;
-
-            let d = internal_v + external_v; // == degree(v)
-            if d > 0 {
-                let odf = external_v as f64 / d as f64;
-                max_odf = max_odf.max(odf);
-                odf_sum += odf;
-            }
-            if external_v > internal_v {
-                flake_count += 1;
-            }
-            if internal_v as f64 > median_degree {
-                above_median_internal += 1;
-            }
-            internal_arcs += internal_v;
-            boundary += external_v;
-        }
+        let tally = MemberTally::compute(access, set, median_degree, |_| true)?;
+        // A fold from +0.0, not `Sum`, which starts at -0.0 and would make
+        // an all-isolated set's Avg-ODF -0.0.
+        let odf_sum = tally.odf.iter().fold(0.0, |sum, &(_, odf)| sum + odf);
 
         // Every internal arc is visited twice: for an undirected graph once
         // from each endpoint; for a directed graph once as an out-arc of its
-        // source and once as an in-arc of its target.
-        debug_assert_eq!(internal_arcs % 2, 0);
-        let m_c = internal_arcs / 2;
-
-        // Boundary arcs are visited once for undirected graphs, but twice
-        // for directed graphs... no: an external arc (v -> w), v in C,
-        // w outside, is seen only at v (w is not iterated). Each boundary
-        // arc has exactly one endpoint in C and is counted exactly once.
-        let c_c = boundary;
-
-        // TPR: triangles inside the induced subgraph.
-        let in_internal_triangle = if n_c >= 3 {
-            let sub = induced_subgraph(access, set)?;
-            triangles_per_node(&sub).iter().filter(|&&t| t > 0).count()
-        } else {
-            0
-        };
+        // source and once as an in-arc of its target. A boundary arc has
+        // exactly one endpoint in C and is counted exactly once.
+        debug_assert_eq!(tally.internal_arcs % 2, 0);
 
         Ok(SetStats {
-            n,
-            m,
-            directed,
+            n: access.node_count(),
+            m: access.edge_count(),
+            directed: access.is_directed(),
             n_c,
-            m_c,
-            c_c,
-            out_degree_sum,
-            in_degree_sum,
-            above_median_internal,
-            in_internal_triangle,
-            max_odf,
+            m_c: tally.internal_arcs / 2,
+            c_c: tally.boundary,
+            out_degree_sum: tally.out_degree_sum,
+            in_degree_sum: tally.in_degree_sum,
+            above_median_internal: tally.above_median_internal,
+            in_internal_triangle: tally.in_internal_triangle,
+            max_odf: tally.max_odf,
             avg_odf: if n_c == 0 { 0.0 } else { odf_sum / n_c as f64 },
-            flake_odf: if n_c == 0 { 0.0 } else { flake_count as f64 / n_c as f64 },
+            flake_odf: if n_c == 0 {
+                0.0
+            } else {
+                tally.flake_count as f64 / n_c as f64
+            },
         })
     }
 
@@ -227,33 +165,160 @@ impl SetStats {
     }
 }
 
-/// The subgraph induced by `set`, with members relabelled to dense local
-/// ids by their rank in the sorted member list — the exact construction
-/// of [`Graph::subgraph`], replicated over [`AdjacencyAccess`] so the
-/// TPR term is identical whichever backing computed it.
-fn induced_subgraph<A: AdjacencyAccess>(
-    access: &A,
-    set: &VertexSet,
-) -> Result<Graph, A::Error> {
-    let nodes = set.as_slice();
-    let mut b = if access.is_directed() {
-        GraphBuilder::directed()
-    } else {
-        GraphBuilder::undirected()
-    };
-    b.reserve_nodes(nodes.len());
-    for (local_u, &u) in nodes.iter().enumerate() {
-        access.with_out_neighbors(u, |list| {
-            for v in list {
-                if let Ok(local_v) = nodes.binary_search(v) {
-                    // For undirected graphs each edge appears in both
-                    // adjacency lists; the builder dedups the double add.
-                    b.add_edge(local_u as NodeId, local_v as NodeId);
+/// The member-side terms of [`SetStats`] for the members of one set a
+/// caller selects: the integer tallies and the ODF terms.
+///
+/// [`MemberTally::compute`] is the one pass over member adjacency that
+/// every scoring path runs: [`SetStats::compute_access`] over every
+/// member, and a shard partial over the members its shard owns.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct MemberTally {
+    /// Internal adjacency entries seen at tallied members (an internal
+    /// arc is seen once from each endpoint).
+    pub internal_arcs: usize,
+    /// Boundary arcs seen at tallied members.
+    pub boundary: usize,
+    /// Sum of out-degrees over tallied members.
+    pub out_degree_sum: usize,
+    /// Sum of in-degrees over tallied members.
+    pub in_degree_sum: usize,
+    /// Tallied members whose internal degree exceeds the median degree.
+    pub above_median_internal: usize,
+    /// Tallied members with more external than internal edges.
+    pub flake_count: usize,
+    /// Tallied members inside at least one triangle of the induced
+    /// subgraph (arcs taken as undirected edges, self-loops ignored).
+    pub in_internal_triangle: usize,
+    /// Maximum ODF over tallied members (0.0 when none has an edge).
+    pub max_odf: f64,
+    /// `(v, ODF of v)` for each tallied member with an edge, ascending by
+    /// `v`: the order Avg-ODF's sum must follow.
+    pub odf: Vec<(NodeId, f64)>,
+}
+
+impl MemberTally {
+    /// Runs the pass over `set` within `access`, tallying the members for
+    /// which `tallied` holds.
+    ///
+    /// Each member's sorted out-list (and in-list, when directed) is
+    /// intersected with the sorted member list: the matches are its
+    /// internal adjacency entries, the rest of the list its external
+    /// ones, and the matches' ranks in the member list are its induced
+    /// neighbours. Every member's neighbours are gathered, tallied or not,
+    /// because a triangle through a tallied member closes on the edge
+    /// between its two other corners.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the backing's neighbour access reports; the pass keeps no
+    /// state between calls, so an error leaves nothing behind.
+    ///
+    /// # Panics
+    ///
+    /// As the backing, for a member id `>= node_count()`.
+    pub fn compute<A: AdjacencyAccess>(
+        access: &A,
+        set: &VertexSet,
+        median_degree: f64,
+        tallied: impl Fn(NodeId) -> bool,
+    ) -> Result<MemberTally, A::Error> {
+        let members = set.as_slice();
+        let directed = access.is_directed();
+        let mut tally = MemberTally::default();
+        // Induced adjacency in local ids (ranks in `members`): member i's
+        // neighbours are `ranks[starts[i]..starts[i + 1]]`, ascending.
+        let mut starts = Vec::with_capacity(members.len() + 1);
+        let mut ranks: Vec<NodeId> = Vec::new();
+        let mut row: Vec<NodeId> = Vec::new();
+        starts.push(0);
+
+        for (i, &v) in members.iter().enumerate() {
+            row.clear();
+            let out_deg = access.with_out_neighbors(v, |list| {
+                push_member_ranks(list, members, &mut row);
+                list.len()
+            })?;
+            let in_deg = if directed {
+                access.with_in_neighbors(v, |list| {
+                    push_member_ranks(list, members, &mut row);
+                    list.len()
+                })?
+            } else {
+                // Undirected: in-adjacency is the out-adjacency, and both
+                // degree sums are the plain degree — no second decode.
+                out_deg
+            };
+
+            if tallied(v) {
+                let degree = if directed { out_deg + in_deg } else { out_deg };
+                let internal = row.len();
+                let external = degree - internal;
+                tally.out_degree_sum += out_deg;
+                tally.in_degree_sum += in_deg;
+                if degree > 0 {
+                    let odf_v = external as f64 / degree as f64;
+                    tally.max_odf = tally.max_odf.max(odf_v);
+                    tally.odf.push((v, odf_v));
                 }
+                if external > internal {
+                    tally.flake_count += 1;
+                }
+                if internal as f64 > median_degree {
+                    tally.above_median_internal += 1;
+                }
+                tally.internal_arcs += internal;
+                tally.boundary += external;
             }
-        })?;
+
+            // The matches are one ascending run per list, and may repeat a
+            // rank (a reciprocated arc, a duplicate entry) or name v itself
+            // (a self-loop); the induced row keeps each other member once.
+            row.sort_unstable();
+            row.dedup();
+            row.retain(|&r| r as usize != i);
+            ranks.extend_from_slice(&row);
+            starts.push(ranks.len());
+        }
+
+        // Member i is in an internal triangle when a neighbour j of i has a
+        // neighbour that is also i's; the first such j settles it.
+        let neighbours = |i: usize| &ranks[starts[i]..starts[i + 1]];
+        tally.in_internal_triangle = (0..members.len())
+            .filter(|&i| {
+                let own = neighbours(i);
+                tallied(members[i])
+                    && own.iter().any(|&j| {
+                        neighbours(j as usize)
+                            .iter()
+                            .any(|w| own.binary_search(w).is_ok())
+                    })
+            })
+            .count();
+        Ok(tally)
     }
-    Ok(b.build())
+}
+
+/// Pushes, in ascending order, the rank in `members` of every entry of
+/// `list` that is a member (a repeated entry once per occurrence). Both
+/// slices are sorted: the walk iterates the shorter one and
+/// binary-searches the rest of the longer one from the last match.
+fn push_member_ranks(list: &[NodeId], members: &[NodeId], ranks: &mut Vec<NodeId>) {
+    let mut lo = 0;
+    if list.len() <= members.len() {
+        for &w in list {
+            lo += members[lo..].partition_point(|&m| m < w);
+            if members.get(lo) == Some(&w) {
+                ranks.push(lo as NodeId);
+            }
+        }
+    } else {
+        for (rank, &m) in members.iter().enumerate() {
+            lo += list[lo..].partition_point(|&w| w < m);
+            let copies = list[lo..].iter().take_while(|&&w| w == m).count();
+            ranks.extend(std::iter::repeat_n(rank as NodeId, copies));
+            lo += copies;
+        }
+    }
 }
 
 /// Convenience: median of the total-degree sequence of a graph, the

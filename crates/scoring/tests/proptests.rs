@@ -1,7 +1,8 @@
 //! Property tests for scoring invariants.
 
-use circlekit_graph::{Graph, GraphBuilder, VertexSet};
-use circlekit_scoring::{ParallelScorer, Scorer, ScoringFunction};
+use circlekit_graph::{Graph, GraphBuilder, NodeId, VertexSet};
+use circlekit_metrics::triangles_per_node;
+use circlekit_scoring::{ParallelScorer, Scorer, ScoringFunction, SetStats};
 use proptest::prelude::*;
 
 const MAX_NODE: u32 = 30;
@@ -24,7 +25,110 @@ fn build(edges: Vec<(u32, u32)>, directed: bool) -> Graph {
     b.build()
 }
 
+/// Arcs `(u, v, reciprocate)`, set members, directedness, and an FOMD
+/// median degree.
+type ArcsCase = (Vec<(u32, u32, bool)>, Vec<u32>, bool, f64);
+
+/// A directed graph also gets `v -> u` when `reciprocate` holds, so
+/// reciprocal pairs are common.
+fn arcs_and_set() -> impl Strategy<Value = ArcsCase> {
+    (
+        prop::collection::vec((0..MAX_NODE, 0..MAX_NODE, any::<bool>()), 1..150),
+        prop::collection::vec(0..MAX_NODE, 0..20),
+        any::<bool>(),
+        (0u32..16).prop_map(|k| f64::from(k) / 2.0),
+    )
+}
+
+/// A graph with reciprocal arcs, and with self-loops when directed (an
+/// undirected self-loop is one adjacency entry, so the internal arcs of
+/// a set holding it cannot pair up).
+fn build_with_reciprocals(arcs: Vec<(u32, u32, bool)>, directed: bool) -> Graph {
+    let mut b = if directed {
+        GraphBuilder::directed()
+    } else {
+        GraphBuilder::undirected()
+    };
+    b.keep_self_loops(directed).reserve_nodes(MAX_NODE as usize);
+    for (u, v, reciprocate) in arcs {
+        b.add_edge(u, v);
+        if reciprocate {
+            b.add_edge(v, u);
+        }
+    }
+    b.build()
+}
+
+/// [`SetStats`] written straight from the definitions: membership by
+/// `VertexSet::contains`, ODF terms summed in member order, and TPR as
+/// the members with a nonzero triangle count in `Graph::subgraph(set)`.
+fn reference_stats(g: &Graph, set: &VertexSet, median_degree: f64) -> SetStats {
+    let (mut internal_arcs, mut boundary) = (0, 0);
+    let (mut out_degree_sum, mut in_degree_sum) = (0, 0);
+    let (mut above_median_internal, mut flake_count) = (0, 0);
+    let (mut max_odf, mut odf_sum) = (0.0f64, 0.0);
+    for v in set.iter() {
+        let mut adjacency: Vec<NodeId> = g.out_neighbors(v).to_vec();
+        if g.is_directed() {
+            adjacency.extend_from_slice(g.in_neighbors(v));
+        }
+        let internal = adjacency.iter().filter(|&&w| set.contains(w)).count();
+        let external = adjacency.len() - internal;
+        out_degree_sum += g.out_neighbors(v).len();
+        in_degree_sum += if g.is_directed() {
+            g.in_neighbors(v).len()
+        } else {
+            g.out_neighbors(v).len()
+        };
+        if !adjacency.is_empty() {
+            let odf = external as f64 / adjacency.len() as f64;
+            max_odf = max_odf.max(odf);
+            odf_sum += odf;
+        }
+        flake_count += usize::from(external > internal);
+        above_median_internal += usize::from(internal as f64 > median_degree);
+        internal_arcs += internal;
+        boundary += external;
+    }
+    let sub = g.subgraph(set).expect("members are in range");
+    let n_c = set.len();
+    SetStats {
+        n: g.node_count(),
+        m: g.edge_count(),
+        directed: g.is_directed(),
+        n_c,
+        m_c: internal_arcs / 2,
+        c_c: boundary,
+        out_degree_sum,
+        in_degree_sum,
+        above_median_internal,
+        in_internal_triangle: triangles_per_node(sub.graph())
+            .iter()
+            .filter(|&&t| t > 0)
+            .count(),
+        max_odf,
+        avg_odf: if n_c == 0 { 0.0 } else { odf_sum / n_c as f64 },
+        flake_odf: if n_c == 0 {
+            0.0
+        } else {
+            flake_count as f64 / n_c as f64
+        },
+    }
+}
+
 proptest! {
+    #[test]
+    fn set_stats_match_the_definitions((arcs, picks, directed, median) in arcs_and_set()) {
+        let g = build_with_reciprocals(arcs, directed);
+        let set = VertexSet::from_vec(picks);
+        let got = SetStats::compute(&g, &set, median);
+        let want = reference_stats(&g, &set, median);
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(got.max_odf.to_bits(), want.max_odf.to_bits());
+        prop_assert_eq!(got.avg_odf.to_bits(), want.avg_odf.to_bits());
+        prop_assert_eq!(got.flake_odf.to_bits(), want.flake_odf.to_bits());
+    }
+
     #[test]
     fn bounded_scores_stay_in_unit_interval((edges, picks, directed) in graph_and_set()) {
         let g = build(edges, directed);

@@ -19,9 +19,11 @@
 //!   are a subset of parent edges) — per-owned-member TPR membership is
 //!   exact.
 //!
-//! [`compute_partial`] evaluates one vertex set on one shard, touching
-//! only the members the shard owns; [`reduce_partials`] recombines the
-//! `N` partials into the exact global
+//! [`compute_partial`] evaluates one vertex set on one shard: it runs
+//! the single-node [`MemberTally`] pass over the halo sub-graph,
+//! tallying only the members the shard owns (every member's induced
+//! neighbours are still gathered, for the triangle argument above).
+//! [`reduce_partials`] recombines the `N` partials into the exact global
 //! [`SetStats`](circlekit_scoring::SetStats) — **bit-identical** to the
 //! single-node value, including the three IEEE-754 fields. Integer
 //! tallies are order-free sums; `max_odf` is a fold of `f64::max` over
@@ -41,8 +43,7 @@
 #![warn(missing_docs)]
 
 use circlekit_graph::{Graph, GraphBuilder, NodeId, VertexSet};
-use circlekit_metrics::triangles_per_node;
-use circlekit_scoring::SetStats;
+use circlekit_scoring::{MemberTally, SetStats};
 use circlekit_store::ShardManifest;
 use std::fmt;
 
@@ -209,109 +210,30 @@ pub struct ShardPartial {
 /// over the shard's halo sub-graph.
 ///
 /// `set` is the **global** vertex set (the coordinator broadcasts it
-/// whole); only the members this shard owns contribute. The FOMD
-/// threshold and the TPR size guard come from the manifest and the
-/// global set size respectively, exactly as on a single node.
+/// whole); only the members this shard owns contribute. This is the
+/// single-node [`MemberTally`] pass tallying only the owned members,
+/// with the FOMD threshold taken from the manifest.
 ///
 /// # Panics
 ///
 /// Panics if `set` contains a node id `>= graph.node_count()`.
 pub fn compute_partial(graph: &Graph, manifest: &ShardManifest, set: &VertexSet) -> ShardPartial {
-    let directed = graph.is_directed();
-    let median_degree = manifest.parent_median_degree;
-    let mut partial = ShardPartial {
+    let owned = |v| shard_of(v, manifest.shard_count) == manifest.shard_index;
+    let Ok(tally) = MemberTally::compute(graph, set, manifest.parent_median_degree, owned);
+    let (odf_members, odf_values) = tally.odf.into_iter().unzip();
+    ShardPartial {
         shard_index: manifest.shard_index,
-        internal_arcs: 0,
-        boundary: 0,
-        out_degree_sum: 0,
-        in_degree_sum: 0,
-        above_median_internal: 0,
-        flake_count: 0,
-        in_internal_triangle: 0,
-        max_odf: 0.0,
-        odf_members: Vec::new(),
-        odf_values: Vec::new(),
-    };
-
-    for v in set.iter() {
-        if shard_of(v, manifest.shard_count) != manifest.shard_index {
-            continue;
-        }
-        let mut internal_v = 0u64;
-        let mut external_v = 0u64;
-        for &w in graph.out_neighbors(v) {
-            if set.contains(w) {
-                internal_v += 1;
-            } else {
-                external_v += 1;
-            }
-        }
-        let out_deg = graph.out_neighbors(v).len() as u64;
-        let in_deg = if directed {
-            for &w in graph.in_neighbors(v) {
-                if set.contains(w) {
-                    internal_v += 1;
-                } else {
-                    external_v += 1;
-                }
-            }
-            graph.in_neighbors(v).len() as u64
-        } else {
-            out_deg
-        };
-        partial.out_degree_sum += out_deg;
-        partial.in_degree_sum += in_deg;
-
-        let d = internal_v + external_v;
-        if d > 0 {
-            let odf = external_v as f64 / d as f64;
-            partial.max_odf = partial.max_odf.max(odf);
-            partial.odf_members.push(v);
-            partial.odf_values.push(odf);
-        }
-        if external_v > internal_v {
-            partial.flake_count += 1;
-        }
-        if internal_v as f64 > median_degree {
-            partial.above_median_internal += 1;
-        }
-        partial.internal_arcs += internal_v;
-        partial.boundary += external_v;
+        internal_arcs: tally.internal_arcs as u64,
+        boundary: tally.boundary as u64,
+        out_degree_sum: tally.out_degree_sum as u64,
+        in_degree_sum: tally.in_degree_sum as u64,
+        above_median_internal: tally.above_median_internal as u64,
+        flake_count: tally.flake_count as u64,
+        in_internal_triangle: tally.in_internal_triangle as u64,
+        max_odf: tally.max_odf,
+        odf_members,
+        odf_values,
     }
-
-    // TPR over owned members: triangles inside the induced subgraph of
-    // the *global* set (size guard included), counting only owners.
-    if set.len() >= 3 {
-        let sub = induced_subgraph(graph, set);
-        let triangles = triangles_per_node(&sub);
-        for (local, &v) in set.as_slice().iter().enumerate() {
-            if shard_of(v, manifest.shard_count) == manifest.shard_index && triangles[local] > 0 {
-                partial.in_internal_triangle += 1;
-            }
-        }
-    }
-    partial
-}
-
-/// The subgraph induced by `set`, relabelled to dense local ids by rank
-/// — the construction `SetStats::compute` uses, replicated so the
-/// per-member triangle terms are the same integers.
-fn induced_subgraph(graph: &Graph, set: &VertexSet) -> Graph {
-    let nodes = set.as_slice();
-    let mut b = if graph.is_directed() {
-        GraphBuilder::directed()
-    } else {
-        GraphBuilder::undirected()
-    };
-    b.reserve_nodes(nodes.len());
-    for (local_u, &u) in nodes.iter().enumerate() {
-        for w in graph.out_neighbors(u) {
-            if let Ok(local_w) = nodes.binary_search(w) {
-                b.add_edge(local_u as NodeId, local_w as NodeId);
-            }
-        }
-    }
-    b.build()
 }
 
 /// Why a set of shard partials cannot be reduced to a global result.

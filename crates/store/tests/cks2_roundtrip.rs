@@ -11,8 +11,8 @@
 //! * CKS2 files are smaller than their CKS1 equivalents on a realistic
 //!   synthetic graph.
 
-use circlekit_graph::{Graph, NodeId, VertexSet};
-use circlekit_scoring::{PagedScorer, Scorer, ScoringFunction};
+use circlekit_graph::{Graph, GraphError, NodeId, VertexSet};
+use circlekit_scoring::{PagedScorer, Scorer, ScoringFunction, SetStats};
 use circlekit_store::{
     decode_snapshot, save_cks2_snapshot, save_snapshot, snapshot_format, stream_pack_cks2,
     write_cks2_snapshot, write_snapshot, Cks2PackOptions, Cks2View, MappedSnapshot, Snapshot,
@@ -384,6 +384,39 @@ fn paged_adapter_serves_original_ids() {
         .with_out_neighbors(graph.node_count() as NodeId, |_| ())
         .expect_err("out of range");
     assert!(matches!(err, StoreError::Graph(_)), "unexpected error: {err:?}");
+}
+
+/// The paged scorer passes the adapter's typed error through for a
+/// member outside the graph — never a panic — and the failed set leaves
+/// nothing behind: the next set scores exactly as the offline scorer.
+#[test]
+fn paged_scorer_reports_out_of_range_member() {
+    for (graph, groups) in [sample_directed(), sample_undirected()] {
+        let bytes = pack2(&graph, &groups, false);
+        let buf = aligned(&bytes);
+        let Ok(view) = Cks2View::parse(&buf) else {
+            return; // big-endian host
+        };
+        let paged = view.paged().expect("paged");
+        let scorer = PagedScorer::new(&paged).expect("median degree pass");
+        let n = graph.node_count();
+        let outside = n as NodeId;
+        let err = scorer
+            .stats(&VertexSet::from_vec(vec![0, 1, outside]))
+            .expect_err("member outside the graph");
+        assert!(
+            matches!(
+                err,
+                StoreError::Graph(GraphError::NodeOutOfRange { node, node_count })
+                    if node == outside && node_count == n
+            ),
+            "unexpected error: {err:?}"
+        );
+
+        let inside = VertexSet::from_vec(vec![0, 1, 2]);
+        let offline = SetStats::compute(&graph, &inside, scorer.median_degree());
+        assert_eq!(scorer.stats(&inside).expect("in-range set"), offline);
+    }
 }
 
 /// `--force`-style overwrite semantics live in the CLI; at the store
