@@ -887,7 +887,7 @@ fn run_mix(opts: &Options) -> Result<(), String> {
         Some(path) => {
             registry.load(path, Some("loadgen"))?;
             let snap = registry.get("loadgen").expect("just loaded");
-            (snap.groups.len(), snap.graph.node_count())
+            (snap.groups.len(), snap.overlay.node_count())
         }
         None => {
             let data = gplus(opts.scale);

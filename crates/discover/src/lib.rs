@@ -7,9 +7,9 @@
 //!
 //! * [`EgoView`] extracts the ego-induced subgraph — the ego's
 //!   out-neighbours plus every arc among them, folded to an undirected
-//!   local graph — from any adjacency backing: an in-memory [`Graph`], any
-//!   [`AdjacencyAccess`] implementor (CKS1 [`SnapshotView`], CKS2 paged),
-//!   or a live [`DeltaOverlay`] composed over a base snapshot. All three
+//!   local graph — from any adjacency backing: an in-memory [`Graph`], or
+//!   any [`AdjacencyAccess`] implementor (CKS1 [`SnapshotView`], CKS2
+//!   paged, or a live `DeltaOverlay` composed over a base snapshot). Both
 //!   constructors build the *same* local CSR, so everything downstream is
 //!   bit-identical across backings.
 //! * [`discover`] runs seeded local clustering: from every local vertex,
@@ -40,9 +40,9 @@ mod eval;
 pub use eval::{best_match_f1, EvalScores};
 
 use circlekit_graph::{AdjacencyAccess, Graph, GraphBuilder, NodeId, VertexSet};
-use circlekit_live::DeltaOverlay;
 use circlekit_scoring::{Scorer, ScoringFunction};
 use std::collections::BTreeSet;
+use std::convert::Infallible;
 
 /// Default root seed (the paper's publication year, like the synth presets).
 pub const DEFAULT_SEED: u64 = 2014;
@@ -137,30 +137,18 @@ impl EgoView {
     }
 
     /// Extracts the ego view from any adjacency backing (CKS1 snapshot
-    /// view, CKS2 paged reader, in-memory graph).
+    /// view, CKS2 paged reader, in-memory graph, or a live overlay
+    /// composed over its base).
     pub fn from_access<A: AdjacencyAccess>(access: &A, ego: NodeId) -> Result<EgoView, A::Error> {
         let alters: Vec<NodeId> = access
             .with_out_neighbors(ego, |nbrs| nbrs.iter().copied().filter(|&v| v != ego).collect())?;
         let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
         for (li, &a) in alters.iter().enumerate() {
             access.with_out_neighbors(a, |nbrs| {
-                induced_edges(&mut edges, &alters, li, nbrs.iter().copied());
+                induced_edges(&mut edges, &alters, li, nbrs);
             })?;
         }
         Ok(EgoView::assemble(ego, alters, edges))
-    }
-
-    /// Extracts the ego view from a live delta overlay composed over its
-    /// base snapshot — the incremental path: no materialisation, adjacency
-    /// comes from the overlay's sorted merge iterators.
-    pub fn from_overlay(base: &Graph, overlay: &DeltaOverlay, ego: NodeId) -> EgoView {
-        let alters: Vec<NodeId> =
-            overlay.out_neighbors(base, ego).filter(|&v| v != ego).collect();
-        let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-        for (li, &a) in alters.iter().enumerate() {
-            induced_edges(&mut edges, &alters, li, overlay.out_neighbors(base, a));
-        }
-        EgoView::assemble(ego, alters, edges)
     }
 
     fn assemble(ego: NodeId, alters: Vec<NodeId>, edges: Vec<(NodeId, NodeId)>) -> EgoView {
@@ -179,14 +167,9 @@ impl EgoView {
 /// Scans `nbrs` (sorted ascending) against `alters` (sorted ascending) and
 /// records an induced local edge for every neighbour that is itself an
 /// alter. Self-pairs are skipped; reciprocal arcs dedup in the builder.
-fn induced_edges(
-    edges: &mut Vec<(NodeId, NodeId)>,
-    alters: &[NodeId],
-    li: usize,
-    nbrs: impl Iterator<Item = NodeId>,
-) {
+fn induced_edges(edges: &mut Vec<(NodeId, NodeId)>, alters: &[NodeId], li: usize, nbrs: &[NodeId]) {
     let mut ai = 0usize;
-    for b in nbrs {
+    for &b in nbrs {
         while ai < alters.len() && alters[ai] < b {
             ai += 1;
         }
@@ -429,25 +412,32 @@ fn fmt_score(x: f64) -> String {
 /// themselves (their alter sets change), plus every ego that has *both*
 /// endpoints as out-neighbours (the induced edge appears/disappears inside
 /// its view) — i.e. the intersection of the in-neighbourhoods of `u` and
-/// `v` in the composed graph. Sorted ascending. This is the exact
-/// per-ego cache-invalidation scope for `suggest_circles`.
-pub fn affected_egos(base: &Graph, overlay: &DeltaOverlay, u: NodeId, v: NodeId) -> Vec<NodeId> {
-    let n = overlay.node_count() as NodeId;
+/// `v` in `graph`, the composed graph after the mutation. Sorted
+/// ascending. This is the exact per-ego cache-invalidation scope for
+/// `suggest_circles`.
+pub fn affected_egos<A: AdjacencyAccess<Error = Infallible>>(
+    graph: &A,
+    u: NodeId,
+    v: NodeId,
+) -> Vec<NodeId> {
+    let n = graph.node_count() as NodeId;
     let mut out: Vec<NodeId> = Vec::new();
     if u < n && v < n {
-        let in_u: Vec<NodeId> = overlay.in_neighbors(base, u).collect();
-        let mut ai = 0usize;
-        for b in overlay.in_neighbors(base, v) {
-            while ai < in_u.len() && in_u[ai] < b {
-                ai += 1;
+        let Ok(in_u) = graph.with_in_neighbors(u, <[NodeId]>::to_vec);
+        let Ok(()) = graph.with_in_neighbors(v, |in_v| {
+            let mut ai = 0usize;
+            for &b in in_v {
+                while ai < in_u.len() && in_u[ai] < b {
+                    ai += 1;
+                }
+                if ai == in_u.len() {
+                    break;
+                }
+                if in_u[ai] == b {
+                    out.push(b);
+                }
             }
-            if ai == in_u.len() {
-                break;
-            }
-            if in_u[ai] == b {
-                out.push(b);
-            }
-        }
+        });
     }
     if u < n {
         out.push(u);
@@ -464,6 +454,7 @@ pub fn affected_egos(base: &Graph, overlay: &DeltaOverlay, u: NodeId, v: NodeId)
 mod tests {
     use super::*;
     use circlekit_graph::Graph;
+    use circlekit_live::DeltaOverlay;
 
     /// Ego 0 pointing at two triangles {1,2,3} and {4,5,6} with a single
     /// bridge 3–4, plus an isolated alter 7.
@@ -532,7 +523,7 @@ mod tests {
         let overlay = DeltaOverlay::new(&g);
         for ego in 0..g.node_count() as NodeId {
             let direct = EgoView::from_graph(&g, ego);
-            let via_overlay = EgoView::from_overlay(&g, &overlay, ego);
+            let Ok(via_overlay) = EgoView::from_access(&overlay.compose(&g), ego);
             assert_eq!(direct.alters, via_overlay.alters);
             let config = DiscoverConfig::default();
             assert_eq!(
@@ -552,7 +543,8 @@ mod tests {
         let materialized = overlay.materialize(&g);
         let config = DiscoverConfig::default();
         for ego in 0..g.node_count() as NodeId {
-            let live = discover(&EgoView::from_overlay(&g, &overlay, ego), &config);
+            let Ok(live_view) = EgoView::from_access(&overlay.compose(&g), ego);
+            let live = discover(&live_view, &config);
             let scratch = discover(&EgoView::from_graph(&materialized, ego), &config);
             assert_eq!(
                 render_suggestion(&live),
@@ -576,9 +568,9 @@ mod tests {
         let g = two_triangle_ego();
         let overlay = DeltaOverlay::new(&g);
         // Edge {1,2}: ego 0 sees both as alters; 1 and 2 change themselves.
-        assert_eq!(affected_egos(&g, &overlay, 1, 2), vec![0, 1, 2]);
+        assert_eq!(affected_egos(&overlay.compose(&g), 1, 2), vec![0, 1, 2]);
         // Edge {5,6}: ego 0 and fellow triangle member 4 watch both ends.
-        assert_eq!(affected_egos(&g, &overlay, 5, 6), vec![0, 4, 5, 6]);
+        assert_eq!(affected_egos(&overlay.compose(&g), 5, 6), vec![0, 4, 5, 6]);
     }
 
     #[test]

@@ -66,7 +66,7 @@ proptest! {
 
         let config = DiscoverConfig { seed, ..DiscoverConfig::default() };
         for ego in 0..overlay.node_count() as NodeId {
-            let live_view = EgoView::from_overlay(&base, &overlay, ego);
+            let Ok(live_view) = EgoView::from_access(&overlay.compose(&base), ego);
             let scratch_view = EgoView::from_graph(&materialized, ego);
             prop_assert_eq!(&live_view.alters, &scratch_view.alters, "ego {} alters", ego);
 

@@ -16,6 +16,7 @@
 use crate::graph::Graph;
 use crate::NodeId;
 use std::convert::Infallible;
+use std::sync::Arc;
 
 /// Read access to a graph's adjacency structure, independent of how the
 /// graph is stored.
@@ -95,6 +96,40 @@ impl AdjacencyAccess for Graph {
         f: impl FnOnce(&[NodeId]) -> R,
     ) -> Result<R, Self::Error> {
         Ok(f(self.in_neighbors(v)))
+    }
+}
+
+/// A shared graph reads as the graph it shares, so a `&Arc<Graph>`
+/// passes wherever a generic backing is taken, as it passed for `&Graph`.
+impl<T: AdjacencyAccess> AdjacencyAccess for Arc<T> {
+    type Error = T::Error;
+
+    fn node_count(&self) -> usize {
+        (**self).node_count()
+    }
+
+    fn edge_count(&self) -> usize {
+        (**self).edge_count()
+    }
+
+    fn is_directed(&self) -> bool {
+        (**self).is_directed()
+    }
+
+    fn with_out_neighbors<R>(
+        &self,
+        v: NodeId,
+        f: impl FnOnce(&[NodeId]) -> R,
+    ) -> Result<R, Self::Error> {
+        (**self).with_out_neighbors(v, f)
+    }
+
+    fn with_in_neighbors<R>(
+        &self,
+        v: NodeId,
+        f: impl FnOnce(&[NodeId]) -> R,
+    ) -> Result<R, Self::Error> {
+        (**self).with_in_neighbors(v, f)
     }
 }
 

@@ -74,6 +74,7 @@ pub use io::{
     parse_edge_line, parse_edge_list, parse_edge_list_lenient, parse_edge_list_with_policy,
     read_edge_list, read_edge_list_lenient, write_edge_list,
 };
+pub use raw::validate_csr_parts;
 pub use scc::{strongly_connected_components, SccLabels};
 pub use traversal::{bfs_distances, bfs_reachable, eccentricity, UNREACHABLE};
 pub use vertex_set::VertexSet;

@@ -48,4 +48,4 @@ mod wal;
 pub use error::{LiveError, MutationError};
 pub use live::{wal_path_for, ApplyOutcome, CrashPoint, LiveSnapshot};
 pub use mutation::Mutation;
-pub use overlay::DeltaOverlay;
+pub use overlay::{Composed, DeltaOverlay};

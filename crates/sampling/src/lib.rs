@@ -22,10 +22,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use circlekit_graph::{Direction, Graph, Interrupted, NodeId, RunControl, VertexSet};
+use circlekit_graph::{
+    AdjacencyAccess, Direction, Graph, Interrupted, Neighbors, NodeId, RunControl, VertexSet,
+};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
+use std::convert::Infallible;
 
 /// Fault-injection hooks for the robustness test-suite: stall a chosen
 /// walk for a finite duration, long enough for a soft deadline to expire
@@ -78,7 +81,11 @@ pub mod fault {
 /// # Panics
 ///
 /// Panics if the graph has no nodes and `size > 0`.
-pub fn random_walk_set<R: Rng + ?Sized>(graph: &Graph, size: usize, rng: &mut R) -> VertexSet {
+pub fn random_walk_set<A, R>(graph: &A, size: usize, rng: &mut R) -> VertexSet
+where
+    A: AdjacencyAccess<Error = Infallible>,
+    R: Rng + ?Sized,
+{
     let n = graph.node_count();
     let size = size.min(n);
     if size == 0 {
@@ -107,10 +114,7 @@ pub fn random_walk_set<R: Rng + ?Sized>(graph: &Graph, size: usize, rng: &mut R)
     while set.len() < size {
         // Collect unvisited neighbours (either orientation — the walk
         // explores the underlying undirected structure).
-        let fresh: Vec<NodeId> = graph
-            .neighbors(current, Direction::Both)
-            .filter(|&v| !set.contains(v))
-            .collect();
+        let fresh = unvisited_neighbors(graph, current, &set);
         if let Some(&next) = fresh.choose(rng) {
             set.insert(next);
             current = next;
@@ -122,6 +126,32 @@ pub fn random_walk_set<R: Rng + ?Sized>(graph: &Graph, size: usize, rng: &mut R)
         }
     }
     set
+}
+
+/// The neighbours of `v` in either orientation that `set` lacks, in the
+/// order [`Graph::neighbors`] yields them with [`Direction::Both`]: the
+/// sorted, deduplicated merge of the out- and in-lists.
+fn unvisited_neighbors<A: AdjacencyAccess<Error = Infallible>>(
+    graph: &A,
+    v: NodeId,
+    set: &VertexSet,
+) -> Vec<NodeId> {
+    let unvisited = |nbrs: Neighbors<'_>| nbrs.filter(|&w| !set.contains(w)).collect();
+    let Ok(fresh) = graph.with_out_neighbors(v, |out| {
+        if !graph.is_directed() {
+            return unvisited(Neighbors::Slice(out.iter()));
+        }
+        let Ok(fresh) = graph.with_in_neighbors(v, |inn| {
+            unvisited(Neighbors::Merged {
+                a: out,
+                b: inn,
+                i: 0,
+                j: 0,
+            })
+        });
+        fresh
+    });
+    fresh
 }
 
 /// Samples `size` distinct vertices uniformly at random (the ablation
@@ -279,7 +309,12 @@ fn stream_seed(root_seed: u64, index: u64) -> u64 {
 
 /// Runs the stream-seeded walk at `index`, firing the fault-injection
 /// stall hook first when that build feature is on.
-fn seeded_walk(graph: &Graph, size: usize, root_seed: u64, index: u64) -> VertexSet {
+fn seeded_walk<A: AdjacencyAccess<Error = Infallible>>(
+    graph: &A,
+    size: usize,
+    root_seed: u64,
+    index: u64,
+) -> VertexSet {
     #[cfg(feature = "fault-inject")]
     fault::maybe_stall(index as usize);
     let mut rng = rand::rngs::SmallRng::seed_from_u64(stream_seed(root_seed, index));
@@ -291,8 +326,8 @@ fn seeded_walk(graph: &Graph, size: usize, root_seed: u64, index: u64) -> Vertex
 /// the sequential reference for
 /// [`size_matched_random_walk_sets_parallel`], which produces identical
 /// output for every thread count.
-pub fn size_matched_random_walk_sets_seeded(
-    graph: &Graph,
+pub fn size_matched_random_walk_sets_seeded<A: AdjacencyAccess<Error = Infallible>>(
+    graph: &A,
     sizes: &[usize],
     root_seed: u64,
 ) -> Vec<VertexSet> {
@@ -315,41 +350,15 @@ pub fn size_matched_random_walk_sets_seeded(
 ///
 /// Panics if `threads == 0`, or if the graph is empty and some size is
 /// positive.
-pub fn size_matched_random_walk_sets_parallel(
-    graph: &Graph,
+pub fn size_matched_random_walk_sets_parallel<A: AdjacencyAccess<Error = Infallible> + Sync>(
+    graph: &A,
     sizes: &[usize],
     root_seed: u64,
     threads: usize,
 ) -> Vec<VertexSet> {
-    assert!(threads > 0, "need at least one thread");
-    if sizes.is_empty() {
-        return Vec::new();
-    }
-    let chunk_size = sizes.len().div_ceil(threads).max(1);
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = sizes
-            .chunks(chunk_size)
-            .enumerate()
-            .map(|(chunk_index, chunk)| {
-                scope.spawn(move |_| {
-                    chunk
-                        .iter()
-                        .enumerate()
-                        .map(|(offset, &s)| {
-                            let index = (chunk_index * chunk_size + offset) as u64;
-                            seeded_walk(graph, s, root_seed, index)
-                        })
-                        .collect::<Vec<VertexSet>>()
-                })
-            })
-            .collect();
-        // Joining in spawn order restores input order.
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("sampling worker panicked"))
-            .collect()
-    })
-    .expect("sampling scope panicked")
+    let control = RunControl::new();
+    size_matched_random_walk_sets_parallel_with_control(graph, sizes, root_seed, threads, &control)
+        .expect("a run without a deadline or a cancel flag is never interrupted")
 }
 
 /// Cancellable [`size_matched_random_walk_sets_parallel`]: every worker
@@ -370,8 +379,10 @@ pub fn size_matched_random_walk_sets_parallel(
 ///
 /// Panics if `threads == 0`, or if the graph is empty and some size is
 /// positive.
-pub fn size_matched_random_walk_sets_parallel_with_control(
-    graph: &Graph,
+pub fn size_matched_random_walk_sets_parallel_with_control<
+    A: AdjacencyAccess<Error = Infallible> + Sync,
+>(
+    graph: &A,
     sizes: &[usize],
     root_seed: u64,
     threads: usize,

@@ -16,9 +16,9 @@
 //! * **Caching** ([`cache`]): an LRU keyed by (snapshot, function, set
 //!   digest) replays deterministic scores bit-exactly.
 //! * **Live mutations** ([`server`]): `apply_mutations` commits
-//!   WAL-backed graph deltas through the same bounded queue, bumping the
-//!   snapshot's materialization version and invalidating the cached
-//!   scores it touched; `watch_scores` reads the paper's four scores
+//!   WAL-backed graph deltas through the same bounded queue, publishing
+//!   the snapshot's next version and invalidating the cached scores it
+//!   touched; `watch_scores` reads the paper's four scores
 //!   O(1) from the incrementally maintained aggregates; `compact` folds
 //!   the WAL back into the CKS1 file. Adjacent `.ckw` logs are replayed
 //!   at startup, so a crash between batches loses nothing.

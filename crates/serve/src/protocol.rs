@@ -187,8 +187,8 @@ pub enum Request {
         group: usize,
     },
     /// Suggest circles for one ego: seeded structural discovery over the
-    /// ego-induced subgraph (live overlay when the snapshot has one,
-    /// otherwise the materialized graph). Responses are cached per
+    /// ego-induced subgraph of the snapshot's base plus its committed
+    /// overlay. Responses are cached per
     /// `(snapshot, ego, parameters)` under the version-keyed scheme;
     /// mutations touching an ego's neighbourhood evict only that ego.
     SuggestCircles {

@@ -33,7 +33,7 @@ use crate::protocol::{
     error_payload, from_hex, ok_payload, read_frame_patiently, to_hex, wire, write_frame,
     ErrorKind, FrameError, Request,
 };
-use crate::server::{live_state, Shared, POLL_INTERVAL};
+use crate::server::{live_state, publish, Shared, POLL_INTERVAL};
 use crate::stats::ServeStats;
 use serde_json::Value;
 use std::collections::HashMap;
@@ -476,6 +476,7 @@ fn tail_once(shared: &Arc<Shared>, snapshot_id: &str, primary: &str) -> Result<(
                 .apply_replicated(&frames)
                 .map_err(|e| format!("apply replicated batch: {e}"))?;
             state.version += 1;
+            publish(shared, snapshot_id, state);
             let version = state.version;
             let applied = state.live.wal_offset();
             drop(states);

@@ -37,9 +37,6 @@ pub struct ServeStats {
     pub mutations_rejected: AtomicU64,
     /// WAL compactions performed via the `compact` op.
     pub compactions: AtomicU64,
-    /// Registry entries rebuilt from the live overlay after a committed
-    /// write — at most one per committed version.
-    pub rematerializations: AtomicU64,
     /// Replication batches shipped to subscribers (primary side).
     pub repl_batches_sent: AtomicU64,
     /// Raw WAL bytes shipped inside those batches (primary side).
@@ -91,7 +88,6 @@ impl ServeStats {
             mutations_applied: read(&self.mutations_applied),
             mutations_rejected: read(&self.mutations_rejected),
             compactions: read(&self.compactions),
-            rematerializations: read(&self.rematerializations),
             repl_batches_sent: read(&self.repl_batches_sent),
             repl_bytes_sent: read(&self.repl_bytes_sent),
             repl_batches_applied: read(&self.repl_batches_applied),
@@ -136,8 +132,6 @@ pub struct StatsSnapshot {
     pub mutations_rejected: u64,
     /// WAL compactions performed.
     pub compactions: u64,
-    /// Registry entries rebuilt after committed writes.
-    pub rematerializations: u64,
     /// Replication batches shipped (primary side).
     pub repl_batches_sent: u64,
     /// Raw WAL bytes shipped (primary side).
@@ -176,7 +170,6 @@ impl StatsSnapshot {
             ("mutations_applied".to_string(), u(self.mutations_applied)),
             ("mutations_rejected".to_string(), u(self.mutations_rejected)),
             ("compactions".to_string(), u(self.compactions)),
-            ("rematerializations".to_string(), u(self.rematerializations)),
             ("repl_batches_sent".to_string(), u(self.repl_batches_sent)),
             ("repl_bytes_sent".to_string(), u(self.repl_bytes_sent)),
             ("repl_batches_applied".to_string(), u(self.repl_batches_applied)),

@@ -42,9 +42,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use circlekit_graph::{Graph, GraphBuilder, NodeId, VertexSet};
+use circlekit_graph::{AdjacencyAccess, Graph, GraphBuilder, NodeId, VertexSet};
 use circlekit_scoring::{MemberTally, SetStats};
 use circlekit_store::ShardManifest;
+use std::convert::Infallible;
 use std::fmt;
 
 /// SplitMix64 finalizer (Steele–Lea–Flood): a full 64-bit avalanche, so
@@ -217,7 +218,11 @@ pub struct ShardPartial {
 /// # Panics
 ///
 /// Panics if `set` contains a node id `>= graph.node_count()`.
-pub fn compute_partial(graph: &Graph, manifest: &ShardManifest, set: &VertexSet) -> ShardPartial {
+pub fn compute_partial<A: AdjacencyAccess<Error = Infallible>>(
+    graph: &A,
+    manifest: &ShardManifest,
+    set: &VertexSet,
+) -> ShardPartial {
     let owned = |v| shard_of(v, manifest.shard_count) == manifest.shard_index;
     let Ok(tally) = MemberTally::compute(graph, set, manifest.parent_median_degree, owned);
     let (odf_members, odf_values) = tally.odf.into_iter().unzip();

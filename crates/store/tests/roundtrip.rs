@@ -169,3 +169,36 @@ fn out_of_range_group_member_is_rejected_at_pack_time() {
     assert!(matches!(err, StoreError::Graph(_)), "{err}");
     assert!(bytes.is_empty(), "nothing may be written before validation");
 }
+
+/// Saving over a path replaces the file by rename, never in place: a
+/// view mapped before the save keeps reading the old graph, and the path
+/// reads the new one.
+#[test]
+fn save_replaces_the_file_under_a_live_mapping() {
+    let dir = std::env::temp_dir().join("circlekit-store-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("replace-{}.cks", std::process::id()));
+    let old = Graph::from_edges(true, [(0u32, 1u32), (1, 2), (2, 0)]);
+    let new = Graph::from_edges(false, (0..40u32).map(|i| (i, (i + 1) % 40)));
+    save_snapshot(&path, &old, &[]).unwrap();
+
+    let before = MappedSnapshot::open(&path).unwrap();
+    save_snapshot(&path, &new, &[]).unwrap();
+    let view = before.view().expect("the old mapping still parses");
+    assert_eq!(view.to_graph().unwrap(), old);
+    assert_eq!(
+        MappedSnapshot::open(&path).unwrap().load().unwrap().graph,
+        new
+    );
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .filter(|e| {
+            e.file_name()
+                .to_string_lossy()
+                .starts_with(&format!("replace-{}.cks.", std::process::id()))
+        })
+        .collect();
+    assert!(leftovers.is_empty(), "temporary left behind: {leftovers:?}");
+    std::fs::remove_file(&path).unwrap();
+}
