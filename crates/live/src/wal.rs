@@ -32,7 +32,7 @@
 
 use crate::error::LiveError;
 use crate::mutation::Mutation;
-use circlekit_store::crc32;
+use circlekit_store::{crc32, sync_parent_dir};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -249,16 +249,6 @@ impl WalWriter {
     pub(crate) fn path(&self) -> &Path {
         &self.path
     }
-}
-
-/// Fsyncs the directory containing `path`, making a create/rename/unlink
-/// of `path` itself durable.
-pub(crate) fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        let parent = if parent.as_os_str().is_empty() { Path::new(".") } else { parent };
-        File::open(parent)?.sync_all()?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

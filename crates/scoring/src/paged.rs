@@ -17,8 +17,7 @@
 //! backing must serve each list in ascending order, as
 //! [`AdjacencyAccess`] promises.
 
-use crate::set_stats::median_degree_access;
-use crate::{ScoreTable, ScoringFunction, SetStats};
+use crate::{degree_counts, median_of_degree_counts, ScoreTable, ScoringFunction, SetStats};
 use circlekit_graph::{AdjacencyAccess, VertexSet};
 
 /// Scores vertex sets against any [`AdjacencyAccess`] backing,
@@ -39,7 +38,7 @@ impl<'a, A: AdjacencyAccess> PagedScorer<'a, A> {
     ///
     /// Whatever the backing reports while iterating adjacency.
     pub fn new(access: &'a A) -> Result<PagedScorer<'a, A>, A::Error> {
-        let median_degree = median_degree_access(access)?;
+        let median_degree = median_of_degree_counts(&degree_counts(access)?);
         Ok(PagedScorer { access, median_degree })
     }
 
