@@ -490,7 +490,7 @@ fn run() -> Result<(), String> {
 }
 
 /// The `--rate` drill: open-loop Poisson arrivals over `--connections`
-/// nonblocking CKP1 connections multiplexed on one [`Poller`]. Arrivals
+/// nonblocking CKP1 connections multiplexed on one [`Poller`](circlekit_net::Poller). Arrivals
 /// fire on schedule whether or not earlier responses have landed, and
 /// each latency sample runs from the *scheduled* arrival instant to
 /// response receipt, so server queueing is charged to the tail instead
@@ -1021,7 +1021,7 @@ fn run_mix(opts: &Options) -> Result<(), String> {
 /// sub-snapshots behind `N` in-process shard daemons and a coordinator,
 /// with the identical workload also driven against a single-node server
 /// so the row records the coordinator's scatter-gather overhead. Gates:
-/// zero failures and coordinator p99 within [`SHARD_OVERHEAD_BUDGET_US`]
+/// zero failures and coordinator p99 within `SHARD_OVERHEAD_BUDGET_US`
 /// of the single-node p99. Writes a `serve_loadgen_shard` row that
 /// replaces only itself.
 fn run_shards(opts: &Options) -> Result<(), String> {

@@ -8,29 +8,29 @@
 //! * [`EgoView`] extracts the ego-induced subgraph — the ego's
 //!   out-neighbours plus every arc among them, folded to an undirected
 //!   local graph — from any adjacency backing: an in-memory [`Graph`], or
-//!   any [`AdjacencyAccess`] implementor (CKS1 [`SnapshotView`], CKS2
+//!   any [`AdjacencyAccess`] implementor (CKS1 `SnapshotView`, CKS2
 //!   paged, or a live `DeltaOverlay` composed over a base snapshot). Both
 //!   constructors build the *same* local CSR, so everything downstream is
 //!   bit-identical across backings.
 //! * [`discover`] runs seeded local clustering: from every local vertex,
 //!   greedily grow a community by repeatedly admitting the frontier vertex
 //!   that minimises conductance, with overlap allowed (each seed expands
-//!   independently). Ties are broken by a per-seed [SplitMix64] stream
+//!   independently). Ties are broken by a per-seed [SplitMix64][splitmix] stream
 //!   derived from `(seed, ego, seed-vertex)`, so results are deterministic
 //!   and — because every seed expansion is an independent pure function —
 //!   bit-identical at any thread count, matching the `ParallelScorer`
 //!   discipline.
 //! * Candidates are deduplicated, scored with the paper's
-//!   [`SetStats`]-derived functions (conductance, average degree) on the
-//!   local subgraph, and ranked by a deterministic total order.
+//!   [`SetStats`](circlekit_scoring::SetStats)-derived functions
+//!   (conductance, average degree) on the local subgraph, and ranked by a
+//!   deterministic total order.
 //! * [`best_match_f1`] evaluates suggestions against planted ground-truth
 //!   circles with Yang–Leskovec best-match precision/recall/F1.
 //! * [`affected_egos`] names exactly which egos' suggestions an edge
 //!   mutation can change — the cache-invalidation scope used by the
 //!   `suggest_circles` serve op.
 //!
-//! [`SnapshotView`]: https://docs.rs/ — see `circlekit-store`
-//! [SplitMix64]: https://prng.di.unimi.it/splitmix64.c
+//! [splitmix]: https://prng.di.unimi.it/splitmix64.c
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -140,8 +140,8 @@ impl Graph {
     /// undirected edges otherwise — the [`Graph::edge_count`]
     /// convention). `in_parts` must be `Some` exactly when `directed`.
     ///
-    /// The parts must describe a graph that [`GraphBuilder`]
-    /// (crate::GraphBuilder) could have produced; a graph exported with
+    /// The parts must describe a graph that
+    /// [`GraphBuilder`](crate::GraphBuilder) could have produced; a graph exported with
     /// [`Graph::out_csr`] / [`Graph::in_csr`] round-trips bit-identically:
     ///
     /// ```

@@ -5,7 +5,7 @@ use crate::mutation::Mutation;
 use crate::overlay::{Composed, DeltaOverlay};
 use crate::wal::{read_wal, scan_frames, WalHeader, WalWriter, WAL_HEADER_LEN};
 use circlekit_graph::{AdjacencyAccess, Graph, NodeId, VertexSet};
-use circlekit_scoring::{degree_counts, median_of_degree_counts, total_degree, MemberTally};
+use circlekit_scoring::{degree_counts, median_of_degree_counts, MemberTally};
 use circlekit_scoring::{ScoringFunction, SetStats};
 use circlekit_store::{replace_file, sync_parent_dir, write_snapshot, SnapshotBase};
 use std::collections::BTreeMap;
@@ -83,7 +83,7 @@ impl CrashPoint {
 
 /// A snapshot opened for mutation: a shared read-only base +
 /// [`DeltaOverlay`] + mutable group memberships + per-group
-/// [`Aggregate`]s, all kept in lock-step by [`LiveSnapshot::apply`],
+/// `Aggregate`s, all kept in lock-step by [`LiveSnapshot::apply`],
 /// with an optional CKW1 WAL making every committed batch durable.
 #[derive(Debug)]
 pub struct LiveSnapshot {
@@ -247,8 +247,8 @@ impl LiveSnapshot {
     }
 
     /// Committed record bytes past the WAL header — the replication
-    /// stream position. Two live snapshots with equal [`base_crc`]
-    /// (`self.base_crc()`) and equal `wal_offset` hold byte-identical
+    /// stream position. Two live snapshots with equal
+    /// [`base_crc`](Self::base_crc) and equal `wal_offset` hold byte-identical
     /// WALs and therefore identical composed state.
     pub fn wal_offset(&self) -> u64 {
         self.wal_offset
@@ -469,7 +469,7 @@ impl LiveSnapshot {
     /// and to the degree counts, once the overlay holds the change.
     fn edge_delta(&mut self, u: NodeId, v: NodeId, insert: bool) {
         for node in [u, v] {
-            let Ok(now) = total_degree(&self.graph(), node);
+            let Ok(now) = self.graph().total_degree(node);
             let was = if insert { now - 1 } else { now + 1 };
             *self.degree_counts.get_mut(&was).expect("the old degree is counted") -= 1;
             *self.degree_counts.entry(now).or_insert(0) += 1;

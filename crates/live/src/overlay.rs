@@ -283,18 +283,54 @@ fn merged<'a, R>(
 impl<B: AdjacencyAccess> Composed<'_, B> {
     /// Hands `f` the composed out-list (`out`) or in-list of `v`.
     fn list<R>(&self, v: NodeId, out: bool, f: impl FnOnce(&[NodeId]) -> R) -> Result<R, B::Error> {
-        let o = self.overlay;
-        assert!((v as usize) < o.node_count(), "node {v} out of range");
-        let deltas = match out || !o.directed {
-            true => (&o.out_added, &o.out_removed),
-            false => (&o.in_added, &o.in_removed),
-        };
+        let deltas = self.deltas(v, out);
         let merge = |base: &[NodeId]| merged(base, v, deltas, f);
-        match ((v as usize) < o.base_nodes, out) {
+        match ((v as usize) < self.overlay.base_nodes, out) {
             (false, _) => Ok(merge(&[])),
             (true, true) => self.base.with_out_neighbors(v, merge),
             (true, false) => self.base.with_in_neighbors(v, merge),
         }
+    }
+
+    /// The added and removed arcs that compose `v`'s out-list (`out`) or
+    /// in-list.
+    fn deltas(&self, v: NodeId, out: bool) -> (&Arcs, &Arcs) {
+        let o = self.overlay;
+        assert!((v as usize) < o.node_count(), "node {v} out of range");
+        match out || !o.directed {
+            true => (&o.out_added, &o.out_removed),
+            false => (&o.in_added, &o.in_removed),
+        }
+    }
+
+    /// The length of `v`'s composed out-list (`out`) or in-list, without
+    /// merging it: the base list's length plus `v`'s added arcs, minus
+    /// its removed ones.
+    fn len(&self, v: NodeId, out: bool) -> Result<usize, B::Error> {
+        let (added, removed) = self.deltas(v, out);
+        let count = |arcs: &Arcs| arcs.range((v, 0)..=(v, NodeId::MAX)).count();
+        let base = match ((v as usize) < self.overlay.base_nodes, out) {
+            (false, _) => 0,
+            (true, true) => self.base.with_out_neighbors(v, <[NodeId]>::len)?,
+            (true, false) => self.base.with_in_neighbors(v, <[NodeId]>::len)?,
+        };
+        Ok(base + count(added) - count(removed))
+    }
+
+    /// `v`'s total degree in the composed graph — what
+    /// [`total_degree`](circlekit_scoring::total_degree) reads through
+    /// the lists — from list lengths alone.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the base reports.
+    pub fn total_degree(&self, v: NodeId) -> Result<usize, B::Error> {
+        let inn = if self.overlay.directed {
+            self.len(v, false)?
+        } else {
+            0
+        };
+        Ok(self.len(v, true)? + inn)
     }
 }
 

@@ -1,8 +1,9 @@
 //! Property: the composed view — a base with the live overlay composed
 //! over it, read through `AdjacencyAccess` — is the materialized graph
-//! for every reader the daemon runs over it, bit for bit: all 13
-//! `SetStats` fields, the FOMD median (recounted, and as maintained
-//! under mutation), the random-walk baseline and ego views. It holds
+//! for every reader the daemon runs over it, bit for bit: every list
+//! and total degree, all 13 `SetStats` fields, the FOMD median
+//! (recounted, and as maintained under mutation), the random-walk
+//! baseline and ego views. It holds
 //! after any mutation history, directed or undirected, over an
 //! in-memory CSR base and over a mapped CKS1 base.
 
@@ -106,6 +107,8 @@ fn assert_composed_is_materialized(live: &LiveSnapshot, seed: u64) {
         let Ok(inn) = composed.with_in_neighbors(v, <[NodeId]>::to_vec);
         assert_eq!(out, graph.out_neighbors(v), "out-list of {v}");
         assert_eq!(inn, graph.in_neighbors(v), "in-list of {v}");
+        let Ok(degree) = composed.total_degree(v);
+        assert_eq!(degree, graph.degree(v), "total degree of {v}");
     }
 
     let median = Scorer::new(&graph).median_degree();

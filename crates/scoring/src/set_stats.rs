@@ -205,13 +205,15 @@ impl MemberTally {
     /// Runs the pass over `set` within `access`, tallying the members for
     /// which `tallied` holds.
     ///
-    /// Each member's sorted out-list (and in-list, when directed) is
-    /// intersected with the sorted member list: the matches are its
-    /// internal adjacency entries, the rest of the list its external
-    /// ones, and the matches' ranks in the member list are its induced
-    /// neighbours. Every member's neighbours are gathered, tallied or not,
-    /// because a triangle through a tallied member closes on the edge
-    /// between its two other corners.
+    /// The pass first marks the members in a bitmap with one bit per id
+    /// in the members' span. Then each member's out-list (and in-list,
+    /// when directed) is scanned once: an entry whose bit is set is an
+    /// internal adjacency entry, the rest are external ones. A hit's rank
+    /// in the member list — its induced neighbour — is searched for
+    /// forward from the previous hit's, since a list's hits ascend. Every
+    /// member's neighbours are gathered, tallied or not, because a
+    /// triangle through a tallied member closes on the edge between its
+    /// two other corners.
     ///
     /// # Errors
     ///
@@ -229,23 +231,25 @@ impl MemberTally {
     ) -> Result<MemberTally, A::Error> {
         let members = set.as_slice();
         let directed = access.is_directed();
+        let index = MemberIndex::new(members, access.node_count());
         let mut tally = MemberTally::default();
         // Induced adjacency in local ids (ranks in `members`): member i's
         // neighbours are `ranks[starts[i]..starts[i + 1]]`, ascending.
         let mut starts = Vec::with_capacity(members.len() + 1);
         let mut ranks: Vec<NodeId> = Vec::new();
-        let mut row: Vec<NodeId> = Vec::new();
+        let (mut out_hits, mut in_hits): (Vec<NodeId>, Vec<NodeId>) = (Vec::new(), Vec::new());
         starts.push(0);
 
         for (i, &v) in members.iter().enumerate() {
-            row.clear();
+            out_hits.clear();
+            in_hits.clear();
             let out_deg = access.with_out_neighbors(v, |list| {
-                push_member_ranks(list, members, &mut row);
+                index.push_ranks(list, &mut out_hits);
                 list.len()
             })?;
             let in_deg = if directed {
                 access.with_in_neighbors(v, |list| {
-                    push_member_ranks(list, members, &mut row);
+                    index.push_ranks(list, &mut in_hits);
                     list.len()
                 })?
             } else {
@@ -256,7 +260,7 @@ impl MemberTally {
 
             if tallied(v) {
                 let degree = if directed { out_deg + in_deg } else { out_deg };
-                let internal = row.len();
+                let internal = out_hits.len() + in_hits.len();
                 let external = degree - internal;
                 tally.out_degree_sum += out_deg;
                 tally.in_degree_sum += in_deg;
@@ -275,13 +279,7 @@ impl MemberTally {
                 tally.boundary += external;
             }
 
-            // The matches are one ascending run per list, and may repeat a
-            // rank (a reciprocated arc, a duplicate entry) or name v itself
-            // (a self-loop); the induced row keeps each other member once.
-            row.sort_unstable();
-            row.dedup();
-            row.retain(|&r| r as usize != i);
-            ranks.extend_from_slice(&row);
+            push_induced_row(&out_hits, &in_hits, i as NodeId, &mut ranks);
             starts.push(ranks.len());
         }
 
@@ -303,25 +301,75 @@ impl MemberTally {
     }
 }
 
-/// Pushes, in ascending order, the rank in `members` of every entry of
-/// `list` that is a member (a repeated entry once per occurrence). Both
-/// slices are sorted: the walk iterates the shorter one and
-/// binary-searches the rest of the longer one from the last match.
-fn push_member_ranks(list: &[NodeId], members: &[NodeId], ranks: &mut Vec<NodeId>) {
-    let mut lo = 0;
-    if list.len() <= members.len() {
+/// The members of one set as a bitmap over their span.
+struct MemberIndex<'a> {
+    members: &'a [NodeId],
+    /// The word holding the first member's bit: bit `b` of `bits[k]`
+    /// stands for id `64 * (first_word + k) + b`.
+    first_word: NodeId,
+    bits: Vec<u64>,
+}
+
+impl<'a> MemberIndex<'a> {
+    /// Marks the members below `node_count`. No list names a larger id,
+    /// and the backing rejects such a member when its own list is read,
+    /// so leaving it out bounds the bitmap by the graph.
+    fn new(members: &'a [NodeId], node_count: usize) -> MemberIndex<'a> {
+        let marked = &members[..members.partition_point(|&v| (v as usize) < node_count)];
+        let (Some(&first), Some(&last)) = (marked.first(), marked.last()) else {
+            return MemberIndex {
+                members,
+                first_word: 0,
+                bits: Vec::new(),
+            };
+        };
+        let first_word = first / 64;
+        let mut bits = vec![0u64; (last / 64 - first_word) as usize + 1];
+        for &v in marked {
+            bits[(v / 64 - first_word) as usize] |= 1 << (v % 64);
+        }
+        MemberIndex {
+            members,
+            first_word,
+            bits,
+        }
+    }
+
+    /// Pushes the rank of every entry of `list` that is a member, in
+    /// list order (a repeated entry once per occurrence): ascending,
+    /// since the list is, so each rank is searched for forward from the
+    /// last.
+    fn push_ranks(&self, list: &[NodeId], ranks: &mut Vec<NodeId>) {
+        let mut rank = 0;
         for &w in list {
-            lo += members[lo..].partition_point(|&m| m < w);
-            if members.get(lo) == Some(&w) {
-                ranks.push(lo as NodeId);
+            // An id below the span wraps past the end of `bits`.
+            let k = (w / 64).wrapping_sub(self.first_word) as usize;
+            if self
+                .bits
+                .get(k)
+                .is_some_and(|word| word & (1 << (w % 64)) != 0)
+            {
+                rank += self.members[rank..].partition_point(|&m| m < w);
+                ranks.push(rank as NodeId);
             }
         }
-    } else {
-        for (rank, &m) in members.iter().enumerate() {
-            lo += list[lo..].partition_point(|&w| w < m);
-            let copies = list[lo..].iter().take_while(|&&w| w == m).count();
-            ranks.extend(std::iter::repeat_n(rank as NodeId, copies));
-            lo += copies;
+    }
+}
+
+/// Appends member `own`'s induced row to `row`: the ascending merge of
+/// its out-list hits and in-list hits, each other member once. A rank
+/// repeats for a reciprocated arc or a duplicate entry, and `own` is
+/// hit by a self-loop.
+fn push_induced_row(out_hits: &[NodeId], in_hits: &[NodeId], own: NodeId, row: &mut Vec<NodeId>) {
+    let start = row.len();
+    let (mut a, mut b) = (out_hits.iter().peekable(), in_hits.iter().peekable());
+    while let Some(&r) = match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if y < x => b.next(),
+        (Some(_), _) => a.next(),
+        (None, _) => b.next(),
+    } {
+        if r != own && row[start..].last() != Some(&r) {
+            row.push(r);
         }
     }
 }

@@ -1,11 +1,20 @@
 //! Property tests for scoring invariants.
 
-use circlekit_graph::{Graph, GraphBuilder, NodeId, VertexSet};
-use circlekit_metrics::triangles_per_node;
+#[path = "support/reference.rs"]
+mod reference;
+
+use circlekit_graph::{Graph, GraphBuilder, VertexSet};
 use circlekit_scoring::{ParallelScorer, Scorer, ScoringFunction, SetStats};
 use proptest::prelude::*;
+use reference::reference_stats;
 
 const MAX_NODE: u32 = 30;
+
+/// `(offset, stride)` id layouts the definitions property runs each case
+/// under, drawn id `v` becoming `offset + stride * v`. `(0, 1)` keeps the
+/// drawn ids, all in one 64-bit word; the others spread a set over
+/// several words, starting past word 0 and ending in a partial one.
+const LAYOUTS: [(u32, u32); 4] = [(0, 1), (0, 37), (1000, 1), (1000, 37)];
 
 fn graph_and_set() -> impl Strategy<Value = (Vec<(u32, u32)>, Vec<u32>, bool)> {
     (
@@ -42,14 +51,18 @@ fn arcs_and_set() -> impl Strategy<Value = ArcsCase> {
 
 /// A graph with reciprocal arcs, and with self-loops when directed (an
 /// undirected self-loop is one adjacency entry, so the internal arcs of
-/// a set holding it cannot pair up).
-fn build_with_reciprocals(arcs: Vec<(u32, u32, bool)>, directed: bool) -> Graph {
+/// a set holding it cannot pair up), over `nodes` nodes.
+fn build_with_reciprocals(
+    arcs: impl IntoIterator<Item = (u32, u32, bool)>,
+    directed: bool,
+    nodes: u32,
+) -> Graph {
     let mut b = if directed {
         GraphBuilder::directed()
     } else {
         GraphBuilder::undirected()
     };
-    b.keep_self_loops(directed).reserve_nodes(MAX_NODE as usize);
+    b.keep_self_loops(directed).reserve_nodes(nodes as usize);
     for (u, v, reciprocate) in arcs {
         b.add_edge(u, v);
         if reciprocate {
@@ -59,74 +72,22 @@ fn build_with_reciprocals(arcs: Vec<(u32, u32, bool)>, directed: bool) -> Graph 
     b.build()
 }
 
-/// [`SetStats`] written straight from the definitions: membership by
-/// `VertexSet::contains`, ODF terms summed in member order, and TPR as
-/// the members with a nonzero triangle count in `Graph::subgraph(set)`.
-fn reference_stats(g: &Graph, set: &VertexSet, median_degree: f64) -> SetStats {
-    let (mut internal_arcs, mut boundary) = (0, 0);
-    let (mut out_degree_sum, mut in_degree_sum) = (0, 0);
-    let (mut above_median_internal, mut flake_count) = (0, 0);
-    let (mut max_odf, mut odf_sum) = (0.0f64, 0.0);
-    for v in set.iter() {
-        let mut adjacency: Vec<NodeId> = g.out_neighbors(v).to_vec();
-        if g.is_directed() {
-            adjacency.extend_from_slice(g.in_neighbors(v));
-        }
-        let internal = adjacency.iter().filter(|&&w| set.contains(w)).count();
-        let external = adjacency.len() - internal;
-        out_degree_sum += g.out_neighbors(v).len();
-        in_degree_sum += if g.is_directed() {
-            g.in_neighbors(v).len()
-        } else {
-            g.out_neighbors(v).len()
-        };
-        if !adjacency.is_empty() {
-            let odf = external as f64 / adjacency.len() as f64;
-            max_odf = max_odf.max(odf);
-            odf_sum += odf;
-        }
-        flake_count += usize::from(external > internal);
-        above_median_internal += usize::from(internal as f64 > median_degree);
-        internal_arcs += internal;
-        boundary += external;
-    }
-    let sub = g.subgraph(set).expect("members are in range");
-    let n_c = set.len();
-    SetStats {
-        n: g.node_count(),
-        m: g.edge_count(),
-        directed: g.is_directed(),
-        n_c,
-        m_c: internal_arcs / 2,
-        c_c: boundary,
-        out_degree_sum,
-        in_degree_sum,
-        above_median_internal,
-        in_internal_triangle: triangles_per_node(sub.graph())
-            .iter()
-            .filter(|&&t| t > 0)
-            .count(),
-        max_odf,
-        avg_odf: if n_c == 0 { 0.0 } else { odf_sum / n_c as f64 },
-        flake_odf: if n_c == 0 {
-            0.0
-        } else {
-            flake_count as f64 / n_c as f64
-        },
-    }
-}
-
 proptest! {
     #[test]
     fn set_stats_match_the_definitions((arcs, picks, directed, median) in arcs_and_set()) {
-        let g = build_with_reciprocals(arcs, directed);
-        let set = VertexSet::from_vec(picks);
-        let got = SetStats::compute(&g, &set, median);
-        let want = reference_stats(&g, &set, median);
-        prop_assert_eq!(&got, &want);
-        prop_assert_eq!(got.max_odf.to_bits(), want.max_odf.to_bits());
-        prop_assert_eq!(got.avg_odf.to_bits(), want.avg_odf.to_bits());
-        prop_assert_eq!(got.flake_odf.to_bits(), want.flake_odf.to_bits());
+        for (offset, stride) in LAYOUTS {
+            let id = |v: u32| offset + stride * v;
+            let arcs = arcs.iter().map(|&(u, v, r)| (id(u), id(v), r));
+            let g = build_with_reciprocals(arcs, directed, id(MAX_NODE));
+            let set: VertexSet = picks.iter().map(|&v| id(v)).collect();
+            let got = SetStats::compute(&g, &set, median);
+            let want = reference_stats(&g, &set, median);
+            let layout = format!("offset {offset}, stride {stride}");
+            prop_assert_eq!(&got, &want, "{}", layout);
+            prop_assert_eq!(got.max_odf.to_bits(), want.max_odf.to_bits(), "{}", layout);
+            prop_assert_eq!(got.avg_odf.to_bits(), want.avg_odf.to_bits(), "{}", layout);
+            prop_assert_eq!(got.flake_odf.to_bits(), want.flake_odf.to_bits(), "{}", layout);
+        }
     }
 
     #[test]

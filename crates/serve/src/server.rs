@@ -3,13 +3,13 @@
 //!
 //! ## Threading model
 //!
-//! * One **event-loop** thread ([`crate::event_loop`]) owns the listener
+//! * One **event-loop** thread (`event_loop`) owns the listener
 //!   and every connection. It reads and parses frames, answers
 //!   `shutdown` and framing defects itself, and hands every other
 //!   request to the dispatcher pool. It observes shutdown (from the
 //!   `shutdown` op, [`ShutdownHandle::trigger`], or a watched SIGINT /
 //!   SIGTERM flag) within one poll interval.
-//! * `max(8, 4 × workers)` **dispatchers** run [`handle_request`]: cheap
+//! * `max(8, 4 × workers)` **dispatchers** run `handle_request`: cheap
 //!   ops (`health`, `stats`, listings, cache hits) are answered inline,
 //!   scoring work is pushed onto the bounded queue — refused with a
 //!   typed `overloaded` response the instant the queue is full — and the

@@ -24,7 +24,7 @@
 //! tallying only the members the shard owns (every member's induced
 //! neighbours are still gathered, for the triangle argument above).
 //! [`reduce_partials`] recombines the `N` partials into the exact global
-//! [`SetStats`](circlekit_scoring::SetStats) — **bit-identical** to the
+//! [`SetStats`] — **bit-identical** to the
 //! single-node value, including the three IEEE-754 fields. Integer
 //! tallies are order-free sums; `max_odf` is a fold of `f64::max` over
 //! finite non-negatives (associative, exact); and the one

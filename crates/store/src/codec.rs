@@ -25,7 +25,7 @@
 //! Decoding arbitrary bytes always terminates — every varint consumes at
 //! least one byte — and never panics; every defect maps to a
 //! [`CodecError`] (wrapped in [`StoreError::Codec`](crate::StoreError)
-//! with section context by the callers in [`crate::cks2`]).
+//! with section context by the callers in `crate::cks2`).
 
 use std::fmt;
 

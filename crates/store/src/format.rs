@@ -30,7 +30,7 @@
 //! flags, both checksums, truncation, oversize lengths, duplicates,
 //! trailing bytes). Semantic checks — section sizes against the header
 //! counts, CSR and group invariants — live with the decoders in
-//! [`crate::reader`] and [`crate::view`].
+//! `crate::reader` and `crate::view`.
 
 use crate::crc32::crc32;
 use crate::error::StoreError;

@@ -3,9 +3,9 @@
 //! Text edge lists and circle files are convenient but slow to ingest:
 //! every run re-parses, re-sorts, and re-deduplicates millions of lines.
 //! This crate defines a versioned binary snapshot — magic `CKS1` — that
-//! stores the *post-ingestion* state of a [`Graph`] (and optionally its
-//! group collections) so every driver in the workspace can load a dataset
-//! without repeating that work:
+//! stores the *post-ingestion* state of a [`Graph`](circlekit_graph::Graph)
+//! (and optionally its group collections) so every driver in the
+//! workspace can load a dataset without repeating that work:
 //!
 //! * **Pack once** ([`save_snapshot`] / [`write_snapshot`]): serialise
 //!   the exact CSR arrays `Csr::from_edges` produced, little-endian,
@@ -28,7 +28,7 @@
 //! `CKS2`): degree-ordered relabelling, delta+varint adjacency blocks,
 //! and width-reduced (u32 where possible) offsets — typically a
 //! fraction of the CKS1 size. Pack with [`save_cks2_snapshot`] (from a
-//! built [`Graph`]) or [`stream_pack_cks2`] (straight from an edge-list
+//! built [`Graph`](circlekit_graph::Graph)) or [`stream_pack_cks2`] (straight from an edge-list
 //! file in bounded memory, via an external sort); load through the same
 //! [`decode_snapshot`] / [`MappedSnapshot::load`] entry points, which
 //! dispatch on the magic, or score without materialising at all through
@@ -40,7 +40,7 @@
 //! an expected input class: every defect is detected (checksums, length
 //! framing, full invariant re-validation) and reported as a typed
 //! [`StoreError`]; no input bytes can cause a panic or undefined
-//! behaviour. See [`format`](crate::format) for the byte layout and
+//! behaviour. See [`format`](mod@format) for the byte layout and
 //! `DESIGN.md` §10 for the rationale.
 //!
 //! # Quick start
