@@ -284,11 +284,21 @@ impl<B: AdjacencyAccess> Composed<'_, B> {
     /// Hands `f` the composed out-list (`out`) or in-list of `v`.
     fn list<R>(&self, v: NodeId, out: bool, f: impl FnOnce(&[NodeId]) -> R) -> Result<R, B::Error> {
         let deltas = self.deltas(v, out);
-        let merge = |base: &[NodeId]| merged(base, v, deltas, f);
+        self.base_list(v, out, |base| merged(base, v, deltas, f))
+    }
+
+    /// Hands `f` the base's out-list (`out`) or in-list of `v`, empty
+    /// for an added vertex.
+    fn base_list<R>(
+        &self,
+        v: NodeId,
+        out: bool,
+        f: impl FnOnce(&[NodeId]) -> R,
+    ) -> Result<R, B::Error> {
         match ((v as usize) < self.overlay.base_nodes, out) {
-            (false, _) => Ok(merge(&[])),
-            (true, true) => self.base.with_out_neighbors(v, merge),
-            (true, false) => self.base.with_in_neighbors(v, merge),
+            (false, _) => Ok(f(&[])),
+            (true, true) => self.base.with_out_neighbors(v, f),
+            (true, false) => self.base.with_in_neighbors(v, f),
         }
     }
 
@@ -309,12 +319,7 @@ impl<B: AdjacencyAccess> Composed<'_, B> {
     fn len(&self, v: NodeId, out: bool) -> Result<usize, B::Error> {
         let (added, removed) = self.deltas(v, out);
         let count = |arcs: &Arcs| arcs.range((v, 0)..=(v, NodeId::MAX)).count();
-        let base = match ((v as usize) < self.overlay.base_nodes, out) {
-            (false, _) => 0,
-            (true, true) => self.base.with_out_neighbors(v, <[NodeId]>::len)?,
-            (true, false) => self.base.with_in_neighbors(v, <[NodeId]>::len)?,
-        };
-        Ok(base + count(added) - count(removed))
+        Ok(self.base_list(v, out, <[NodeId]>::len)? + count(added) - count(removed))
     }
 
     /// `v`'s total degree in the composed graph — what
