@@ -134,7 +134,7 @@ fn toggle_arcs(live: &mut LiveSnapshot, graph: &Graph, sets: &[VertexSet]) {
     }
 }
 
-/// The rows of a preset: its name and scale, one backing, one set size.
+/// The fields that name a row: preset, scale, backing and set size.
 fn fields(preset: &str, scale: f64, backing: &str, size: usize) -> Vec<(&'static str, Value)> {
     vec![
         ("preset", json!(preset)),

@@ -313,29 +313,25 @@ impl<B: AdjacencyAccess> Composed<'_, B> {
         }
     }
 
-    /// The length of `v`'s composed out-list (`out`) or in-list, without
-    /// merging it: the base list's length plus `v`'s added arcs, minus
-    /// its removed ones.
-    fn len(&self, v: NodeId, out: bool) -> Result<usize, B::Error> {
-        let (added, removed) = self.deltas(v, out);
-        let count = |arcs: &Arcs| arcs.range((v, 0)..=(v, NodeId::MAX)).count();
-        Ok(self.base_list(v, out, <[NodeId]>::len)? + count(added) - count(removed))
-    }
-
     /// `v`'s total degree in the composed graph — what
     /// [`total_degree`](circlekit_scoring::total_degree) reads through
-    /// the lists — from list lengths alone.
+    /// the lists — without merging them: each base list's length plus
+    /// `v`'s added arcs, minus its removed ones.
     ///
     /// # Errors
     ///
     /// Whatever the base reports.
     pub fn total_degree(&self, v: NodeId) -> Result<usize, B::Error> {
-        let inn = if self.overlay.directed {
-            self.len(v, false)?
-        } else {
-            0
+        let count = |arcs: &Arcs| arcs.range((v, 0)..=(v, NodeId::MAX)).count();
+        let len = |out| -> Result<usize, B::Error> {
+            let (added, removed) = self.deltas(v, out);
+            Ok(self.base_list(v, out, <[NodeId]>::len)? + count(added) - count(removed))
         };
-        Ok(self.len(v, true)? + inn)
+        let inn = match self.overlay.directed {
+            true => len(false)?,
+            false => 0,
+        };
+        Ok(len(true)? + inn)
     }
 }
 

@@ -316,15 +316,11 @@ impl<'a> MemberIndex<'a> {
     /// so leaving it out bounds the bitmap by the graph.
     fn new(members: &'a [NodeId], node_count: usize) -> MemberIndex<'a> {
         let marked = &members[..members.partition_point(|&v| (v as usize) < node_count)];
-        let (Some(&first), Some(&last)) = (marked.first(), marked.last()) else {
-            return MemberIndex {
-                members,
-                first_word: 0,
-                bits: Vec::new(),
-            };
+        let (first_word, words) = match (marked.first(), marked.last()) {
+            (Some(&first), Some(&last)) => (first / 64, (last / 64 - first / 64) as usize + 1),
+            _ => (0, 0),
         };
-        let first_word = first / 64;
-        let mut bits = vec![0u64; (last / 64 - first_word) as usize + 1];
+        let mut bits = vec![0u64; words];
         for &v in marked {
             bits[(v / 64 - first_word) as usize] |= 1 << (v % 64);
         }
