@@ -12,9 +12,9 @@
 //!   allocation proportional to the graph; what a driver pays before its
 //!   first neighbour query)
 //!
-//! — and, unlike the other benches, also writes its medians to
-//! `BENCH_store.json` at the repo root so the speedup is tracked as a
-//! number, not a claim.
+//! — and, unlike the other benches, also writes its medians as the
+//! first row of `BENCH_store.json` at the repo root (other rows are
+//! kept) so the speedup is tracked as a number, not a claim.
 
 use circlekit::graph::{parse_edge_list, parse_groups_with_policy, Graph, IngestPolicy};
 use circlekit::store::{load_snapshot, save_snapshot, MappedSnapshot};
@@ -122,8 +122,16 @@ fn write_report(fx: &Fixture, medians: &[(&str, u64)], out_path: &Path) {
         ("median_ns".to_string(), median_obj),
         ("speedup_vs_text_ingest".to_string(), speedup_obj),
     ]);
-    let json = serde_json::to_string(&report).expect("report serialises");
-    fs::write(out_path, json + "\n").expect("write BENCH_store.json");
+    // The file is JSONL: this row goes first, other benches' rows stay.
+    let mut lines = vec![serde_json::to_string(&report).expect("report serialises")];
+    lines.extend(
+        fs::read_to_string(out_path)
+            .unwrap_or_default()
+            .lines()
+            .filter(|l| !l.trim().is_empty() && !l.contains("\"bench\":\"ingest_vs_snapshot\""))
+            .map(str::to_string),
+    );
+    fs::write(out_path, lines.join("\n") + "\n").expect("write BENCH_store.json");
     println!("wrote {}", out_path.display());
 }
 

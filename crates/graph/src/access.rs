@@ -65,6 +65,27 @@ pub trait AdjacencyAccess {
         v: NodeId,
         f: impl FnOnce(&[NodeId]) -> R,
     ) -> Result<R, Self::Error>;
+
+    /// The length of `v`'s out-list. A backing that knows it without
+    /// building the list overrides this.
+    ///
+    /// # Errors
+    ///
+    /// As [`AdjacencyAccess::with_out_neighbors`].
+    fn out_degree(&self, v: NodeId) -> Result<usize, Self::Error> {
+        self.with_out_neighbors(v, <[NodeId]>::len)
+    }
+
+    /// The length of `v`'s in-list (for undirected graphs, of its
+    /// out-list). A backing that knows it without building the list
+    /// overrides this.
+    ///
+    /// # Errors
+    ///
+    /// As [`AdjacencyAccess::with_in_neighbors`].
+    fn in_degree(&self, v: NodeId) -> Result<usize, Self::Error> {
+        self.with_in_neighbors(v, <[NodeId]>::len)
+    }
 }
 
 impl AdjacencyAccess for Graph {
@@ -131,6 +152,14 @@ impl<T: AdjacencyAccess> AdjacencyAccess for Arc<T> {
     ) -> Result<R, Self::Error> {
         (**self).with_in_neighbors(v, f)
     }
+
+    fn out_degree(&self, v: NodeId) -> Result<usize, Self::Error> {
+        (**self).out_degree(v)
+    }
+
+    fn in_degree(&self, v: NodeId) -> Result<usize, Self::Error> {
+        (**self).in_degree(v)
+    }
 }
 
 #[cfg(test)]
@@ -155,6 +184,11 @@ mod tests {
             assert_eq!(out.as_slice(), g.out_neighbors(v));
             let inn = unwrap(g.with_in_neighbors(v, <[NodeId]>::to_vec));
             assert_eq!(inn.as_slice(), g.in_neighbors(v));
+            assert_eq!(unwrap(AdjacencyAccess::out_degree(&g, v)), out.len());
+            assert_eq!(unwrap(AdjacencyAccess::in_degree(&g, v)), inn.len());
+            let shared = Arc::new(g.clone());
+            assert_eq!(unwrap(AdjacencyAccess::out_degree(&shared, v)), out.len());
+            assert_eq!(unwrap(AdjacencyAccess::in_degree(&shared, v)), inn.len());
         }
     }
 

@@ -65,6 +65,36 @@ fn validate_csr<O: Copy + TryInto<usize>>(
     Ok(self_loops)
 }
 
+/// Checks that each in-list is exactly as long as the number of
+/// out-list entries naming its vertex, in one counting pass over the
+/// out-targets (4 bytes per vertex, freed on return). Scoring derives a
+/// member's in-list hits from the out-lists, so this is what keeps its
+/// internal count within the member's degree. Both structures are
+/// already known to be well formed and to describe the same nodes.
+fn check_in_degrees<O: Copy + TryInto<usize>>(
+    in_offsets: &[O],
+    out_targets: &[NodeId],
+) -> Result<(), GraphError> {
+    let at = |v: usize| in_offsets[v].try_into().unwrap_or(usize::MAX);
+    let mut named = vec![0u32; in_offsets.len() - 1];
+    for &t in out_targets {
+        // A vertex is named at most once per list, so the count stays
+        // below 2^32 for any graph with fewer than 2^32 nodes.
+        named[t as usize] = named[t as usize].saturating_add(1);
+    }
+    match named
+        .iter()
+        .enumerate()
+        .find(|&(v, &n)| n as usize != at(v + 1) - at(v))
+    {
+        Some((v, &n)) => Err(GraphError::InvalidCsr(format!(
+            "in-adjacency of node {v} has {} entries, but {n} out-lists name node {v}",
+            at(v + 1) - at(v)
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Checks raw CSR arrays against every structural invariant
 /// [`Graph::try_from_csr_parts`] enforces, without copying them: the
 /// validation a zero-copy reader runs before serving the arrays in
@@ -103,6 +133,7 @@ pub fn validate_csr_parts<O: Copy + TryInto<usize>>(
         if edge_count != arcs {
             return bad(format!("edge count {edge_count} does not match {arcs} arcs"));
         }
+        check_in_degrees(in_offsets, out_targets)?;
     } else {
         // Each non-loop edge contributes two arcs, each kept
         // self-loop one: arcs = 2(m - s) + s.
@@ -267,6 +298,32 @@ mod tests {
         let err = Graph::try_from_csr_parts(false, 5, oo.to_vec(), ot.to_vec(), None)
             .expect_err("wrong edge count must fail");
         assert!(err.to_string().contains("edge count"), "{err}");
+    }
+
+    #[test]
+    fn rejects_in_lists_the_out_lists_do_not_name() {
+        let g = Graph::from_edges(true, [(0u32, 1u32), (0, 2), (1, 2), (2, 0), (2, 3)]);
+        let (oo, ot) = g.out_csr();
+        let (io, it) = g.in_csr().expect("directed");
+        // Node 2's out-list [0, 3] becomes [0, 1]: every list stays
+        // sorted and in range, but node 1 is now named twice and node 3
+        // not at all.
+        let mut ot = ot.to_vec();
+        assert_eq!(ot, [1, 2, 2, 0, 3]);
+        ot[4] = 1;
+        let err = Graph::try_from_csr_parts(
+            true,
+            g.edge_count(),
+            oo.to_vec(),
+            ot,
+            Some((io.to_vec(), it.to_vec())),
+        )
+        .expect_err("in-degrees the out-lists disagree with must fail");
+        assert!(
+            err.to_string()
+                .contains("in-adjacency of node 1 has 1 entries, but 2 out-lists"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::mutation::Mutation;
 use crate::overlay::{Composed, DeltaOverlay};
 use crate::wal::{read_wal, scan_frames, WalHeader, WalWriter, WAL_HEADER_LEN};
 use circlekit_graph::{AdjacencyAccess, Graph, NodeId, VertexSet};
-use circlekit_scoring::{degree_counts, median_of_degree_counts, MemberTally};
+use circlekit_scoring::{degree_counts, median_of_degree_counts, total_degree, MemberTally};
 use circlekit_scoring::{ScoringFunction, SetStats};
 use circlekit_store::{replace_file, sync_parent_dir, write_snapshot, SnapshotBase};
 use std::collections::BTreeMap;
@@ -469,7 +469,7 @@ impl LiveSnapshot {
     /// and to the degree counts, once the overlay holds the change.
     fn edge_delta(&mut self, u: NodeId, v: NodeId, insert: bool) {
         for node in [u, v] {
-            let Ok(now) = self.graph().total_degree(node);
+            let Ok(now) = total_degree(&self.graph(), node);
             let was = if insert { now - 1 } else { now + 1 };
             *self.degree_counts.get_mut(&was).expect("the old degree is counted") -= 1;
             *self.degree_counts.entry(now).or_insert(0) += 1;

@@ -281,20 +281,12 @@ fn merged<'a, R>(
 }
 
 impl<B: AdjacencyAccess> Composed<'_, B> {
-    /// Hands `f` the composed out-list (`out`) or in-list of `v`.
+    /// Hands `f` the composed out-list (`out`) or in-list of `v`: the
+    /// base's list merged with `v`'s deltas (an added vertex has no
+    /// base list).
     fn list<R>(&self, v: NodeId, out: bool, f: impl FnOnce(&[NodeId]) -> R) -> Result<R, B::Error> {
         let deltas = self.deltas(v, out);
-        self.base_list(v, out, |base| merged(base, v, deltas, f))
-    }
-
-    /// Hands `f` the base's out-list (`out`) or in-list of `v`, empty
-    /// for an added vertex.
-    fn base_list<R>(
-        &self,
-        v: NodeId,
-        out: bool,
-        f: impl FnOnce(&[NodeId]) -> R,
-    ) -> Result<R, B::Error> {
+        let f = |base: &[NodeId]| merged(base, v, deltas, f);
         match ((v as usize) < self.overlay.base_nodes, out) {
             (false, _) => Ok(f(&[])),
             (true, true) => self.base.with_out_neighbors(v, f),
@@ -313,25 +305,18 @@ impl<B: AdjacencyAccess> Composed<'_, B> {
         }
     }
 
-    /// `v`'s total degree in the composed graph — what
-    /// [`total_degree`](circlekit_scoring::total_degree) reads through
-    /// the lists — without merging them: each base list's length plus
-    /// `v`'s added arcs, minus its removed ones.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the base reports.
-    pub fn total_degree(&self, v: NodeId) -> Result<usize, B::Error> {
+    /// The length of `v`'s composed out-list (`out`) or in-list, without
+    /// merging it: the base list's length plus `v`'s added arcs, minus
+    /// its removed ones.
+    fn degree(&self, v: NodeId, out: bool) -> Result<usize, B::Error> {
         let count = |arcs: &Arcs| arcs.range((v, 0)..=(v, NodeId::MAX)).count();
-        let len = |out| -> Result<usize, B::Error> {
-            let (added, removed) = self.deltas(v, out);
-            Ok(self.base_list(v, out, <[NodeId]>::len)? + count(added) - count(removed))
+        let (added, removed) = self.deltas(v, out);
+        let base = match ((v as usize) < self.overlay.base_nodes, out) {
+            (false, _) => 0,
+            (true, true) => self.base.out_degree(v)?,
+            (true, false) => self.base.in_degree(v)?,
         };
-        let inn = match self.overlay.directed {
-            true => len(false)?,
-            false => 0,
-        };
-        Ok(len(true)? + inn)
+        Ok(base + count(added) - count(removed))
     }
 }
 
@@ -364,6 +349,14 @@ impl<B: AdjacencyAccess> AdjacencyAccess for Composed<'_, B> {
         f: impl FnOnce(&[NodeId]) -> R,
     ) -> Result<R, Self::Error> {
         self.list(v, false, f)
+    }
+
+    fn out_degree(&self, v: NodeId) -> Result<usize, Self::Error> {
+        self.degree(v, true)
+    }
+
+    fn in_degree(&self, v: NodeId) -> Result<usize, Self::Error> {
+        self.degree(v, false)
     }
 }
 

@@ -11,7 +11,7 @@ use circlekit_discover::EgoView;
 use circlekit_graph::{AdjacencyAccess, Graph, NodeId, VertexSet};
 use circlekit_live::{LiveSnapshot, Mutation};
 use circlekit_sampling::size_matched_random_walk_sets_seeded;
-use circlekit_scoring::{median_degree, Scorer, SetStats};
+use circlekit_scoring::{median_degree, total_degree, Scorer, SetStats};
 use circlekit_store::{save_snapshot, SnapshotBase};
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
@@ -107,7 +107,15 @@ fn assert_composed_is_materialized(live: &LiveSnapshot, seed: u64) {
         let Ok(inn) = composed.with_in_neighbors(v, <[NodeId]>::to_vec);
         assert_eq!(out, graph.out_neighbors(v), "out-list of {v}");
         assert_eq!(inn, graph.in_neighbors(v), "in-list of {v}");
-        let Ok(degree) = composed.total_degree(v);
+        let Ok(out_degree) = composed.out_degree(v);
+        let Ok(in_degree) = composed.in_degree(v);
+        assert_eq!(
+            out_degree,
+            graph.out_neighbors(v).len(),
+            "out-degree of {v}"
+        );
+        assert_eq!(in_degree, graph.in_neighbors(v).len(), "in-degree of {v}");
+        let Ok(degree) = total_degree(&composed, v);
         assert_eq!(degree, graph.degree(v), "total degree of {v}");
     }
 

@@ -206,14 +206,22 @@ impl MemberTally {
     /// which `tallied` holds.
     ///
     /// The pass first marks the members in a bitmap with one bit per id
-    /// in the members' span. Then each member's out-list (and in-list,
-    /// when directed) is scanned once: an entry whose bit is set is an
-    /// internal adjacency entry, the rest are external ones. A hit's rank
-    /// in the member list — its induced neighbour — is searched for
-    /// forward from the previous hit's, since a list's hits ascend. Every
-    /// member's neighbours are gathered, tallied or not, because a
-    /// triangle through a tallied member closes on the edge between its
-    /// two other corners.
+    /// in the members' span. Then each member's out-list is scanned once:
+    /// an entry whose bit is set is an internal arc, the rest are
+    /// external ones. A hit's rank in the member list — its induced
+    /// neighbour — is searched for forward from the previous hit's, since
+    /// a list's hits ascend. On a directed graph a member's in-list hits
+    /// are the members whose out-lists hit it, so they come from
+    /// transposing the out-list hits, and the in-list itself is read only
+    /// for its length. Every member's neighbours are gathered, tallied or
+    /// not, because a triangle through a tallied member closes on the
+    /// edge between its two other corners.
+    ///
+    /// The transpose is exact when every in-list holds exactly the arcs
+    /// the out-lists name, as every backing built through
+    /// [`validate_csr_parts`](circlekit_graph::validate_csr_parts)
+    /// guarantees. On lists that disagree, a member's external count
+    /// saturates at zero rather than wrapping.
     ///
     /// # Errors
     ///
@@ -232,36 +240,37 @@ impl MemberTally {
         let members = set.as_slice();
         let directed = access.is_directed();
         let index = MemberIndex::new(members, access.node_count());
-        let mut tally = MemberTally::default();
-        // Induced adjacency in local ids (ranks in `members`): member i's
-        // neighbours are `ranks[starts[i]..starts[i + 1]]`, ascending.
-        let mut starts = Vec::with_capacity(members.len() + 1);
-        let mut ranks: Vec<NodeId> = Vec::new();
-        let (mut out_hits, mut in_hits): (Vec<NodeId>, Vec<NodeId>) = (Vec::new(), Vec::new());
-        starts.push(0);
-
-        for (i, &v) in members.iter().enumerate() {
-            out_hits.clear();
-            in_hits.clear();
+        // Out-list hits in local ids (ranks in `members`): member i's are
+        // `out.ranks[out.starts[i]..out.starts[i + 1]]`, ascending.
+        let mut out = Rows::with_capacity(members.len());
+        // `(out-degree, in-degree)` of each member, `None` for one not
+        // tallied.
+        let mut degrees = Vec::with_capacity(members.len());
+        for &v in members {
             let out_deg = access.with_out_neighbors(v, |list| {
-                index.push_ranks(list, &mut out_hits);
+                index.push_ranks(list, &mut out.ranks);
                 list.len()
             })?;
-            let in_deg = if directed {
-                access.with_in_neighbors(v, |list| {
-                    index.push_ranks(list, &mut in_hits);
-                    list.len()
-                })?
-            } else {
-                // Undirected: in-adjacency is the out-adjacency, and both
-                // degree sums are the plain degree — no second decode.
-                out_deg
-            };
+            out.starts.push(out.ranks.len());
+            degrees.push(match (tallied(v), directed) {
+                (true, true) => Some((out_deg, access.in_degree(v)?)),
+                // Undirected: both degree sums are the plain degree.
+                (true, false) => Some((out_deg, out_deg)),
+                (false, _) => None,
+            });
+        }
+        // Undirected lists already hold each member's every neighbour.
+        let inn = directed.then(|| out.transpose());
 
-            if tallied(v) {
+        let mut tally = MemberTally::default();
+        // Induced adjacency: member i's neighbours are row i, ascending.
+        let mut rows = Rows::with_capacity(members.len());
+        for (i, (&v, own_degrees)) in members.iter().zip(degrees).enumerate() {
+            let (out_hits, in_hits) = (out.row(i), inn.as_ref().map_or(&[][..], |inn| inn.row(i)));
+            if let Some((out_deg, in_deg)) = own_degrees {
                 let degree = if directed { out_deg + in_deg } else { out_deg };
                 let internal = out_hits.len() + in_hits.len();
-                let external = degree - internal;
+                let external = degree.saturating_sub(internal);
                 tally.out_degree_sum += out_deg;
                 tally.in_degree_sum += in_deg;
                 if degree > 0 {
@@ -278,26 +287,72 @@ impl MemberTally {
                 tally.internal_arcs += internal;
                 tally.boundary += external;
             }
-
-            push_induced_row(&out_hits, &in_hits, i as NodeId, &mut ranks);
-            starts.push(ranks.len());
+            push_induced_row(out_hits, in_hits, i as NodeId, &mut rows.ranks);
+            rows.starts.push(rows.ranks.len());
         }
 
         // Member i is in an internal triangle when a neighbour j of i has a
         // neighbour that is also i's; the first such j settles it.
-        let neighbours = |i: usize| &ranks[starts[i]..starts[i + 1]];
         tally.in_internal_triangle = (0..members.len())
             .filter(|&i| {
-                let own = neighbours(i);
+                let own = rows.row(i);
                 tallied(members[i])
                     && own.iter().any(|&j| {
-                        neighbours(j as usize)
+                        rows.row(j as usize)
                             .iter()
                             .any(|w| own.binary_search(w).is_ok())
                     })
             })
             .count();
         Ok(tally)
+    }
+}
+
+/// Adjacency rows in local ids, CSR-style: row `i` is
+/// `ranks[starts[i]..starts[i + 1]]`.
+struct Rows {
+    starts: Vec<usize>,
+    ranks: Vec<NodeId>,
+}
+
+impl Rows {
+    /// No rows yet, room for `n`.
+    fn with_capacity(n: usize) -> Rows {
+        let mut starts = Vec::with_capacity(n + 1);
+        starts.push(0);
+        Rows {
+            starts,
+            ranks: Vec::new(),
+        }
+    }
+
+    fn row(&self, i: usize) -> &[NodeId] {
+        &self.ranks[self.starts[i]..self.starts[i + 1]]
+    }
+
+    /// The transposed rows — row `j` lists every `i` whose row holds
+    /// `j`, ascending and once per occurrence — by a counting sort over
+    /// the entries.
+    fn transpose(&self) -> Rows {
+        let n = self.starts.len() - 1;
+        let mut starts = vec![0; n + 1];
+        for &j in &self.ranks {
+            starts[j as usize + 1] += 1;
+        }
+        for j in 0..n {
+            starts[j + 1] += starts[j];
+        }
+        // `next[j]`: where row j's next entry goes. Sources are visited
+        // in ascending order, so each row fills ascending.
+        let mut next = starts[..n].to_vec();
+        let mut ranks = vec![0; self.ranks.len()];
+        for i in 0..n {
+            for &j in self.row(i) {
+                ranks[next[j as usize]] = i as NodeId;
+                next[j as usize] += 1;
+            }
+        }
+        Rows { starts, ranks }
     }
 }
 
@@ -393,19 +448,19 @@ pub fn degree_counts<A: AdjacencyAccess>(access: &A) -> Result<BTreeMap<usize, u
     Ok(counts)
 }
 
-/// `v`'s total degree: the length of its out-list, plus its in-list
-/// when the graph is directed — [`Graph::degree`](circlekit_graph::Graph::degree)
-/// over any backing.
+/// `v`'s total degree: its out-degree, plus its in-degree when the
+/// graph is directed — [`Graph::degree`](circlekit_graph::Graph::degree)
+/// over any backing, read through the backing's degree accessors.
 ///
 /// # Errors
 ///
 /// Whatever the backing reports.
 pub fn total_degree<A: AdjacencyAccess>(access: &A, v: NodeId) -> Result<usize, A::Error> {
     let inn = match access.is_directed() {
-        true => access.with_in_neighbors(v, <[NodeId]>::len)?,
+        true => access.in_degree(v)?,
         false => 0,
     };
-    Ok(access.with_out_neighbors(v, <[NodeId]>::len)? + inn)
+    Ok(access.out_degree(v)? + inn)
 }
 
 /// Median of the degree multiset `counts` describes (degree -> number
@@ -527,6 +582,57 @@ mod tests {
         assert_eq!(s.m_c, 0);
         assert_eq!(s.c_c, 0);
         assert_eq!(s.avg_odf, 0.0);
+    }
+
+    /// A directed backing whose in-lists are all empty, whatever its
+    /// out-lists name: what an unvalidated file can serve.
+    struct EmptyInLists(Graph);
+
+    impl AdjacencyAccess for EmptyInLists {
+        type Error = Infallible;
+
+        fn node_count(&self) -> usize {
+            self.0.node_count()
+        }
+
+        fn edge_count(&self) -> usize {
+            self.0.edge_count()
+        }
+
+        fn is_directed(&self) -> bool {
+            true
+        }
+
+        fn with_out_neighbors<R>(
+            &self,
+            v: NodeId,
+            f: impl FnOnce(&[NodeId]) -> R,
+        ) -> Result<R, Infallible> {
+            Ok(f(self.0.out_neighbors(v)))
+        }
+
+        fn with_in_neighbors<R>(
+            &self,
+            _: NodeId,
+            f: impl FnOnce(&[NodeId]) -> R,
+        ) -> Result<R, Infallible> {
+            Ok(f(&[]))
+        }
+    }
+
+    #[test]
+    fn in_lists_that_disagree_with_out_lists_do_not_wrap() {
+        // Directed triangle plus a boundary arc: each member has one
+        // out-arc inside, so its in-list hits count one more arc than its
+        // empty in-list holds.
+        let g = EmptyInLists(Graph::from_edges(
+            true,
+            [(0u32, 1u32), (1, 2), (2, 0), (0, 3)],
+        ));
+        let s = SetStats::compute(&g, &(0u32..3).collect(), 0.0);
+        assert_eq!((s.m_c, s.c_c), (3, 0));
+        assert_eq!((s.out_degree_sum, s.in_degree_sum), (4, 0));
+        assert_eq!((s.max_odf, s.avg_odf, s.flake_odf), (0.0, 0.0, 0.0));
     }
 
     #[test]

@@ -293,7 +293,7 @@ mod tests {
     #[test]
     fn resealed_bad_lists_are_refused_at_load() {
         type Patch = fn(&mut [u32]);
-        let cases: [(&str, Patch, &str); 3] = [
+        let cases: [(&str, Patch, &str); 4] = [
             (
                 "unsorted",
                 |t| t.swap(0, 1),
@@ -308,6 +308,14 @@ mod tests {
                 "out-of-range",
                 |t| t[4] = 9,
                 "node 2 has neighbour 9 outside 0..4",
+            ),
+            (
+                // Node 2's out-list [0, 3] becomes [0, 1]: sorted and in
+                // range, but the in-lists no longer count what the
+                // out-lists name.
+                "in-degree",
+                |t| t[4] = 1,
+                "in-adjacency of node 1 has 1 entries, but 2 out-lists",
             ),
         ];
         for (name, patch, defect) in cases {

@@ -10,8 +10,11 @@
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-const fn make_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-16 tables: `TABLES[0]` is the classic bytewise table, and
+/// `TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so
+/// sixteen lookups advance the state over sixteen bytes at once.
+const fn make_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -20,13 +23,23 @@ const fn make_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static TABLE: [u32; 256] = make_table();
+static TABLES: [[u32; 256]; 16] = make_tables();
 
 /// CRC-32 of `bytes` (init `0xFFFF_FFFF`, final xor `0xFFFF_FFFF` — the
 /// `cksum`-compatible "CRC-32/ISO-HDLC" parameterisation used by zlib).
@@ -74,11 +87,36 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
-    /// Feeds `bytes` into the checksum.
+    /// Feeds `bytes` into the checksum, sixteen bytes per step.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state = (self.state >> 8) ^ TABLE[((self.state ^ b as u32) & 0xFF) as usize];
+        let t = &TABLES;
+        let mut crc = self.state;
+        let mut blocks = bytes.chunks_exact(16);
+        for b in &mut blocks {
+            // The state folds into the first four bytes; byte j of the
+            // block then sits 15 - j bytes from the end.
+            let x = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            crc = t[15][(x & 0xFF) as usize]
+                ^ t[14][((x >> 8) & 0xFF) as usize]
+                ^ t[13][((x >> 16) & 0xFF) as usize]
+                ^ t[12][(x >> 24) as usize]
+                ^ t[11][b[4] as usize]
+                ^ t[10][b[5] as usize]
+                ^ t[9][b[6] as usize]
+                ^ t[8][b[7] as usize]
+                ^ t[7][b[8] as usize]
+                ^ t[6][b[9] as usize]
+                ^ t[5][b[10] as usize]
+                ^ t[4][b[11] as usize]
+                ^ t[3][b[12] as usize]
+                ^ t[2][b[13] as usize]
+                ^ t[1][b[14] as usize]
+                ^ t[0][b[15] as usize];
         }
+        for &b in blocks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        self.state = crc;
     }
 
     /// The CRC-32 of everything fed so far (the state remains usable).
@@ -103,6 +141,39 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    }
+
+    /// CRC-32/ISO-HDLC one byte, and one bit, at a time: no tables.
+    fn bitwise_crc32(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ POLY
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn sliced_update_matches_the_bitwise_reference() {
+        let data: Vec<u8> = (0u32..316)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for start in 0..16 {
+            for len in 0..=300 {
+                let bytes = &data[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    bitwise_crc32(bytes),
+                    "start {start}, length {len}"
+                );
+            }
+        }
     }
 
     #[test]

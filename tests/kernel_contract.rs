@@ -1,9 +1,10 @@
 //! The scoring kernel's contract: every backing and topology the daemon
 //! scores through gives the definitions-based reference's `SetStats`, all
-//! 13 fields, f64 by bits. The corpus is the google+ preset at scale
-//! 0.02, seed 2014 — the `reproduce all --scale 0.02` input — with its
-//! circles, 100 seeded walk sets sized like them, an empty set and a
-//! singleton.
+//! 13 fields, f64 by bits, and the daemon itself serves the 13 scores of
+//! those stats, over JSON and over CKP1. The corpus is the google+
+//! preset at scale 0.02, seed 2014 — the `reproduce all --scale 0.02`
+//! input — with its circles, 100 seeded walk sets sized like them, an
+//! empty set and a singleton.
 
 #[path = "../crates/scoring/tests/support/reference.rs"]
 mod reference;
@@ -11,12 +12,13 @@ mod reference;
 use circlekit::graph::{Graph, NodeId, VertexSet};
 use circlekit::live::{LiveSnapshot, Mutation};
 use circlekit::sampling::size_matched_random_walk_sets_seeded;
-use circlekit::scoring::{median_degree, PagedScorer, SetStats};
+use circlekit::scoring::{median_degree, PagedScorer, ScoringFunction, SetStats};
 use circlekit::shard::{compute_partial, manifest_for, reduce_partials, shard_graph};
 use circlekit::store::{
     save_cks2_snapshot, save_snapshot, Cks2PackOptions, MappedSnapshot, SnapshotBase,
 };
 use circlekit::synth::presets;
+use circlekit_serve::{Client, ServeConfig, Server, SnapshotRegistry};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use reference::reference_stats;
@@ -100,6 +102,38 @@ fn every_backing_matches_the_definitions() {
         let got = SetStats::compute(&base, set, median);
         assert_same_bits(&got, &want[i], &format!("mapped CKS1, set {i}"));
     }
+
+    let served = scratch_file("served.cks");
+    save_snapshot(&served, graph, &data.groups).unwrap();
+    let mut registry = SnapshotRegistry::new();
+    registry
+        .load(served.to_str().unwrap(), Some("gplus"))
+        .unwrap();
+    std::fs::remove_file(&served).unwrap();
+    // No cache, so each wire mode's answers come from the kernel.
+    let config = ServeConfig {
+        cache_capacity: 0,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(registry, config, ("127.0.0.1", 0)).unwrap();
+    for binary in [false, true] {
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        client.set_binary(binary);
+        for (i, set) in sets.iter().enumerate() {
+            let response = client
+                .score_set("gplus", set.as_slice(), Some("all"), None)
+                .unwrap();
+            let got = Client::scores_of(&response)
+                .unwrap()
+                .into_iter()
+                .map(f64::to_bits);
+            let want = ScoringFunction::ALL.map(|f| f.score(&want[i]).to_bits());
+            let wire = if binary { "CKP1" } else { "JSON" };
+            assert_eq!(got.collect::<Vec<_>>(), want, "daemon over {wire}, set {i}");
+        }
+    }
+    server.shutdown_handle().trigger();
+    server.join();
 
     let cks2 = scratch_file("paged.cks2");
     save_cks2_snapshot(&cks2, graph, &data.groups, &Cks2PackOptions::default()).unwrap();
