@@ -240,8 +240,8 @@ impl MemberTally {
         let members = set.as_slice();
         let directed = access.is_directed();
         let index = MemberIndex::new(members, access.node_count());
-        // Out-list hits in local ids (ranks in `members`): member i's are
-        // `out.ranks[out.starts[i]..out.starts[i + 1]]`, ascending.
+        // Out-list hits in local ids (ranks in `members`): row i holds
+        // member i's, ascending.
         let mut out = Rows::with_capacity(members.len());
         // `(out-degree, in-degree)` of each member, `None` for one not
         // tallied.
