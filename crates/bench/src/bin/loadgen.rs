@@ -499,7 +499,7 @@ fn run() -> Result<(), String> {
 /// `serve_loadgen_async` row that replaces only itself.
 fn run_async(opts: &Options) -> Result<(), String> {
     use circlekit::scoring::ScoringFunction;
-    use circlekit_net::{Event, Interest, Poller};
+    use circlekit_net::{Event, Interest, Poller, Timer};
     use circlekit_serve::{binary, Request};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -624,6 +624,13 @@ fn run_async(opts: &Options) -> Result<(), String> {
     }
 
     let poller = Poller::new().map_err(|e| format!("epoll: {e}"))?;
+    // `epoll_wait` rounds its timeout up to whole milliseconds; the timer
+    // wakes the sender at each due instant itself.
+    const TIMER_TOKEN: u64 = u64::MAX;
+    let timer = Timer::new().map_err(|e| format!("timerfd: {e}"))?;
+    poller
+        .register(timer.fd(), TIMER_TOKEN, Interest::READ)
+        .map_err(|e| format!("register timer: {e}"))?;
     let mut conns: Vec<AsyncConn> = Vec::with_capacity(opts.connections);
     for index in 0..opts.connections {
         let stream = TcpStream::connect(&addr)
@@ -705,13 +712,19 @@ fn run_async(opts: &Options) -> Result<(), String> {
             next_due += Duration::from_secs_f64(-(1.0 - uniform).ln() / rate);
         }
 
-        let timeout = if issued < total {
-            next_due.saturating_duration_since(Instant::now()).min(Duration::from_millis(100))
-        } else {
-            Duration::from_millis(100)
-        };
-        poller.wait(&mut events, Some(timeout)).map_err(|e| format!("epoll wait: {e}"))?;
+        if issued < total {
+            timer
+                .set(next_due.saturating_duration_since(Instant::now()))
+                .map_err(|e| format!("arm timer: {e}"))?;
+        }
+        poller
+            .wait(&mut events, Some(Duration::from_millis(100)))
+            .map_err(|e| format!("epoll wait: {e}"))?;
         for event in &events {
+            if event.token == TIMER_TOKEN {
+                timer.clear();
+                continue;
+            }
             let index = event.token as usize;
             let Some(conn) = conns.get_mut(index) else { continue };
             if conn.dead {

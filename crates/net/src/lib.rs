@@ -12,6 +12,8 @@
 //!   caller-chosen `u64` tokens.
 //! * [`WakePipe`] — a nonblocking self-pipe so worker threads can
 //!   interrupt a blocked `epoll_wait` when a completion is ready.
+//! * [`Timer`] — a one-shot `timerfd(2)`, so a wait can end at an
+//!   instant finer than `epoll_wait`'s whole milliseconds.
 //! * [`tune_listener`] / [`tune_stream`] — the socket knobs every
 //!   circlekit accept and connect path applies: `SO_REUSEADDR`, a
 //!   [`LISTEN_BACKLOG`]-deep accept queue, and `TCP_NODELAY`.
@@ -25,7 +27,9 @@
 
 mod poller;
 mod sys;
+mod timer;
 mod tune;
 
 pub use poller::{Event, Interest, Poller, WakePipe};
+pub use timer::Timer;
 pub use tune::{tune_listener, tune_stream, LISTEN_BACKLOG};

@@ -27,6 +27,22 @@ pub const TCP_NODELAY: c_int = 1;
 
 pub const O_NONBLOCK: c_int = 0o4000;
 
+pub const CLOCK_MONOTONIC: c_int = 1;
+
+/// `struct timespec` on 64-bit Linux.
+#[repr(C)]
+pub struct timespec {
+    pub tv_sec: i64,
+    pub tv_nsec: i64,
+}
+
+/// `struct itimerspec`.
+#[repr(C)]
+pub struct itimerspec {
+    pub it_interval: timespec,
+    pub it_value: timespec,
+}
+
 /// `struct epoll_event` with the kernel's layout. On x86-64 the kernel
 /// declares it `__attribute__((packed))` (12 bytes, data word at offset
 /// 4); on other architectures it is naturally aligned.
@@ -57,6 +73,13 @@ extern "C" {
         timeout_ms: c_int,
     ) -> c_int;
     pub fn close(fd: c_int) -> c_int;
+    pub fn timerfd_create(clockid: c_int, flags: c_int) -> c_int;
+    pub fn timerfd_settime(
+        fd: c_int,
+        flags: c_int,
+        new_value: *const itimerspec,
+        old_value: *mut itimerspec,
+    ) -> c_int;
     pub fn pipe2(fds: *mut c_int, flags: c_int) -> c_int;
     pub fn read(fd: c_int, buf: *mut u8, count: usize) -> isize;
     pub fn write(fd: c_int, buf: *const u8, count: usize) -> isize;

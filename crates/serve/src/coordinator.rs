@@ -51,7 +51,7 @@ use circlekit_shard::{reduce_partials, shard_of, ShardPartial};
 use circlekit_store::ShardManifest;
 use serde_json::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Per-shard gather deadline applied when a client request carries no
@@ -705,14 +705,14 @@ impl Coordinator {
     }
 }
 
-/// Answers `request` on behalf of the coordinator, or returns `None` for
-/// the few ops the local machinery should keep handling (`debug_sleep`,
-/// `repl_ack`; `shutdown` and `replicate` never reach here).
-pub(crate) fn handle(
-    shared: &Arc<Shared>,
+/// Answers, on the event loop, the ops a coordinator answers from what it
+/// holds — no shard is called. `None` for every other op, and always on a
+/// server that is not a coordinator.
+pub(crate) fn answer_inline(
+    shared: &Shared,
     request: &Request,
 ) -> Option<Result<Value, RequestError>> {
-    let coord = shared.coord.as_ref().expect("coordinator mode");
+    let coord = shared.coord.as_ref()?;
     let answer = match request {
         Request::Health => Ok(ok_value(vec![
             ("status".to_string(), Value::Str("serving".to_string())),
@@ -747,18 +747,6 @@ pub(crate) fn handle(
                 ),
             ])
         }),
-        Request::ScoreGroup { snapshot, group, functions, deadline_ms } => {
-            coord.score_group(shared, snapshot, *group, functions, *deadline_ms)
-        }
-        Request::ScoreSet { snapshot, members, functions, deadline_ms } => {
-            coord.score_set(shared, snapshot, members, functions, *deadline_ms)
-        }
-        Request::WatchScores { snapshot, group } => {
-            coord.watch_scores(shared, snapshot, *group)
-        }
-        Request::SuggestCircles { snapshot, ego, seed, min_size, top } => {
-            coord.suggest(snapshot, *ego, *seed, *min_size, *top)
-        }
         Request::Baseline { .. } => Err((
             ErrorKind::BadRequest,
             "baseline sampling walks the whole graph and cannot be confined to shards; \
@@ -776,6 +764,34 @@ pub(crate) fn handle(
             "this server is a coordinator; shard_stats is answered by shard processes"
                 .to_string(),
         )),
+        _ => return None,
+    };
+    Some(answer)
+}
+
+/// Answers, on a scoring worker, the coordinator ops the loop queued: the
+/// gathers, `suggest_circles` (forwarded to the ego's shard) and
+/// `repl_status`. `None` for the ops the local machinery answers
+/// (`debug_sleep`, `repl_ack`), and always on a server that is not a
+/// coordinator.
+pub(crate) fn answer_queued(
+    shared: &Shared,
+    request: &Request,
+) -> Option<Result<Value, RequestError>> {
+    let coord = shared.coord.as_ref()?;
+    let answer = match request {
+        Request::ScoreGroup { snapshot, group, functions, deadline_ms } => {
+            coord.score_group(shared, snapshot, *group, functions, *deadline_ms)
+        }
+        Request::ScoreSet { snapshot, members, functions, deadline_ms } => {
+            coord.score_set(shared, snapshot, members, functions, *deadline_ms)
+        }
+        Request::WatchScores { snapshot, group } => {
+            coord.watch_scores(shared, snapshot, *group)
+        }
+        Request::SuggestCircles { snapshot, ego, seed, min_size, top } => {
+            coord.suggest(snapshot, *ego, *seed, *min_size, *top)
+        }
         Request::ReplStatus => {
             let fields = vec![
                 ("op".to_string(), Value::Str("repl_status".to_string())),
@@ -784,10 +800,7 @@ pub(crate) fn handle(
             ];
             Ok(ok_value(fields))
         }
-        Request::DebugSleep { .. }
-        | Request::ReplAck { .. }
-        | Request::Replicate { .. }
-        | Request::Shutdown => return None,
+        _ => return None,
     };
     Some(answer)
 }

@@ -3,43 +3,45 @@
 //! ## Architecture
 //!
 //! ```text
-//!          epoll loop thread                dispatcher pool            workers
-//!  accept ─► Conn{inbuf,outbuf} ─frames─► BoundedQueue ─► handle_request ─► (queue,
-//!  flush  ◄─ seq-ordered done map ◄─────── frames + wake pipe ◄─ render     batcher,
-//!                                                                           cache)
+//!          epoll loop thread                                  scoring workers
+//!  accept ─► Conn{inbuf,outbuf} ─frames─► route ─miss/op─► BoundedQueue ─► batch,
+//!                                          │ hit, health,                   op
+//!                                          ▼ stats, errors                  │
+//!  flush  ◄─ seq-ordered done map ◄─ render ◄── completion list + wake pipe ◄┘
 //! ```
 //!
 //! The loop never blocks on a socket: reads and writes run to `EAGAIN`
-//! and partial frames/writes stay buffered per connection. Decoded
-//! requests are stamped with a per-connection sequence number and handed
-//! to a pool of `max(8, 4 × workers)` dispatchers over a second
-//! [`BoundedQueue`]. A dispatcher calls [`handle_request`], which may
-//! block on the scoring queue, the micro-batcher or a shard gather, and
-//! gets back the response envelope as one [`Value`] tree. [`render`]
-//! encodes that tree for the connection's wire mode — JSON text or a
-//! CKP1 frame — so the loop receives finished bytes. The floor of 8
-//! keeps dispatchers idle for a request that arrives while the scoring
-//! queue is saturated: it is *refused* (`overloaded`) at once instead of
-//! waiting behind the blocked ones.
+//! and partial frames/writes stay buffered per connection. Each decoded
+//! request is stamped with a per-connection sequence number and routed
+//! on the loop thread ([`route`]): `health`, `stats`, the listings,
+//! request errors and full score-cache hits are answered there and then.
+//! Every other op becomes one job on the scoring queue, carrying its
+//! reply address ([`ReplyTo`]); the worker that runs it posts the
+//! response envelope to the loop's completion list and wakes the loop.
+//! [`render`] encodes every envelope for the connection's wire mode —
+//! JSON text or a CKP1 frame — on the loop, so a worker never encodes.
+//! A cache hit crosses no thread; any other request crosses one hand-off
+//! each way.
 //!
 //! ## Pipelining and the ordering guarantees
 //!
-//! A connection may have many requests in flight (up to
-//! [`MAX_PIPELINE`]; beyond that the loop simply stops reading the
-//! socket, which is backpressure TCP propagates to the client).
-//! Reads may execute concurrently and complete out of order — different
-//! dispatchers, cache hits overtaking scoring misses — but responses
-//! are **delivered in request order**: completions park in a
-//! per-connection `BTreeMap` keyed by sequence number and only the next
-//! undelivered sequence is appended to the write buffer. A pipelined
-//! client can therefore match responses to requests positionally.
+//! A connection may have many requests undelivered (up to
+//! [`MAX_PIPELINE`], counting answers not yet written; beyond that the
+//! loop simply stops reading the socket, which is backpressure TCP
+//! propagates to the client). Queued jobs complete out of order with
+//! respect to the answers the loop gives at once — a cache hit overtakes
+//! a scoring miss — but responses are **delivered in request order**:
+//! answers park in a per-connection `BTreeMap` keyed by sequence number
+//! and only the next undelivered sequence is appended to the write
+//! buffer. A pipelined client can therefore match responses to requests
+//! positionally.
 //!
 //! Writes (`apply_mutations`, `compact`) also **execute** in request
-//! order: each is a barrier on its connection. A write starts only once
-//! every earlier request on the connection has completed, and nothing
-//! later is parsed — so the socket is not read — until the write has
-//! completed. Version numbers acked on one connection therefore rise in
-//! request order, and a read pipelined after a write sees that write.
+//! order: each is a barrier on its connection. A write is queued only
+//! once every earlier request on the connection has completed, and
+//! nothing later is parsed — so the socket is not read — until the write
+//! has completed. Version numbers acked on one connection therefore rise
+//! in request order, and a read pipelined after a write sees that write.
 //!
 //! ## Protocol negotiation
 //!
@@ -58,16 +60,16 @@
 //! | CKP1 length > 16 MiB                 | `frame-too-large`, once   | closed     |
 //! | CKP1 payload CRC mismatch            | `bad-request`, once       | closed     |
 //! | truncation / disconnect mid-frame    | nothing (stream is gone)  | closed     |
-//! | dispatch + scoring queues saturated  | `overloaded`, immediately | survives   |
+//! | scoring queue saturated              | `overloaded`, immediately | survives   |
+//! | handler panic (loop or worker)       | `internal`                | survives   |
 //!
 //! The close-after-answer rows flush every response already owed to the
 //! connection first — pipelined predecessors are never dropped.
 
 use crate::binary::{self, BinaryError};
 use crate::protocol::{error_value, ok_value, ErrorKind, Request, RequestError, MAX_FRAME_LEN};
-use crate::queue::{BoundedQueue, PushError};
 use crate::replication;
-use crate::server::{handle_request, Shared, POLL_INTERVAL};
+use crate::server::{contain, route, Shared, POLL_INTERVAL};
 use crate::stats::ServeStats;
 use circlekit_net::{tune_stream, Event, Interest, Poller, WakePipe};
 use serde_json::Value;
@@ -91,7 +93,7 @@ const WAKE_TOKEN: u64 = u64::MAX - 1;
 
 /// How a connection frames its messages, fixed by the first byte.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Mode {
+pub(crate) enum Mode {
     /// No byte seen yet.
     Unknown,
     /// 4-byte big-endian length + JSON (the compat protocol).
@@ -100,30 +102,54 @@ enum Mode {
     Binary,
 }
 
-/// One request executed off-loop, addressed back to (slot, generation,
-/// seq) — the generation guards against the slot being reused by a new
-/// connection while the request was in flight. `mode` and `op` tell the
-/// dispatcher how to frame the response.
-struct DispatchJob {
-    slot: usize,
-    generation: u64,
-    seq: u64,
-    mode: Mode,
-    op: u16,
-    request: Request,
+/// Where a queued job's answer goes: (slot, generation, seq) — the
+/// generation guards against the slot being reused by a new connection
+/// while the job ran — and the mode and CKP1 op to frame it with.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ReplyTo {
+    pub(crate) slot: usize,
+    pub(crate) generation: u64,
+    pub(crate) seq: u64,
+    pub(crate) mode: Mode,
+    pub(crate) op: u16,
 }
 
-/// A finished response frame on its way back to the loop.
-struct Completion {
-    slot: usize,
-    generation: u64,
-    seq: u64,
-    bytes: Vec<u8>,
+/// A queued job's response envelope on its way back to the loop.
+pub(crate) struct Completion {
+    pub(crate) reply: ReplyTo,
+    pub(crate) outcome: Result<Value, RequestError>,
 }
 
-/// Finished frames the dispatchers have pushed and the loop has not yet
-/// applied.
-type Completions = Mutex<Vec<Completion>>;
+/// The loop's completion list: workers post envelopes, the loop applies
+/// them after every wait.
+pub(crate) struct Completions {
+    list: Mutex<Vec<Completion>>,
+    wake: WakePipe,
+}
+
+impl Completions {
+    pub(crate) fn new() -> io::Result<Completions> {
+        Ok(Completions { list: Mutex::new(Vec::new()), wake: WakePipe::new()? })
+    }
+
+    /// Appends `done` and wakes the loop — unless the list already held
+    /// completions, whose poster's wakeup the loop has yet to act on.
+    pub(crate) fn post(&self, done: Vec<Completion>) {
+        let was_empty = {
+            let mut list = self.list.lock().expect("completion lock");
+            let was_empty = list.is_empty();
+            list.extend(done);
+            was_empty
+        };
+        if was_empty {
+            self.wake.wake();
+        }
+    }
+
+    fn take(&self) -> Vec<Completion> {
+        std::mem::take(&mut *self.list.lock().expect("completion lock"))
+    }
+}
 
 struct Conn {
     stream: TcpStream,
@@ -137,16 +163,16 @@ struct Conn {
     next_deliver: u64,
     /// Finished responses waiting for their turn, keyed by sequence.
     done: BTreeMap<u64, Vec<u8>>,
-    /// Requests handed to dispatchers and not yet completed.
+    /// Requests queued as jobs and not yet completed.
     inflight: usize,
     /// Sequence number of the write this connection is ordered behind:
     /// set when the write is parsed, cleared when it completes. While
     /// set, no further frame is parsed.
     barrier: Option<u64>,
-    /// That write, while requests before it are still in flight; it is
-    /// dispatched when `inflight` drops to 0, so `held` implies
-    /// `inflight > 0`.
-    held: Option<DispatchJob>,
+    /// That write (seq, op, request), while requests before it are still
+    /// in flight; it is routed when `inflight` drops to 0, so `held`
+    /// implies `inflight > 0`.
+    held: Option<(u64, u16, Request)>,
     /// The stream is desynchronised or the server is draining — parse no
     /// further input. Implies `close_after_flush`.
     stop_parsing: bool,
@@ -159,10 +185,16 @@ struct Conn {
 }
 
 impl Conn {
+    /// Requests taken and not yet written: queued, held, or answered and
+    /// waiting for their turn.
+    fn undelivered(&self) -> usize {
+        self.inflight + usize::from(self.held.is_some()) + self.done.len()
+    }
+
     /// Whether parsing (and therefore reading) waits: the pipeline is
     /// full, or a write is held or running.
     fn paused(&self) -> bool {
-        self.barrier.is_some() || self.inflight + self.done.len() >= MAX_PIPELINE
+        self.barrier.is_some() || self.undelivered() >= MAX_PIPELINE
     }
 
     fn wants(&self) -> Interest {
@@ -186,71 +218,25 @@ pub(crate) fn run(
     subscriptions: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
     let poller = Poller::new().expect("epoll_create1");
-    let wake = Arc::new(WakePipe::new().expect("wake pipe"));
     poller
-        .register(wake.read_fd(), WAKE_TOKEN, Interest::READ)
+        .register(shared.completions.wake.read_fd(), WAKE_TOKEN, Interest::READ)
         .expect("register wake pipe");
     poller
         .register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)
         .expect("register listener");
-
-    // A deeper floor than the scoring queue so a burst of cheap inline
-    // ops (which never touch the scoring queue) is not refused just
-    // because the hand-off buffer is momentarily full.
-    let dispatch: Arc<BoundedQueue<DispatchJob>> =
-        Arc::new(BoundedQueue::new(shared.config.queue_capacity.max(64)));
-    let completions = Arc::new(Completions::default());
-    let dispatchers: Vec<JoinHandle<()>> = (0..(shared.config.workers * 4).max(8))
-        .map(|i| {
-            let shared = Arc::clone(shared);
-            let dispatch = Arc::clone(&dispatch);
-            let completions = Arc::clone(&completions);
-            let wake = Arc::clone(&wake);
-            std::thread::Builder::new()
-                .name(format!("ck-serve-dispatch-{i}"))
-                .spawn(move || dispatcher_loop(&shared, &dispatch, &completions, &wake))
-                .expect("spawn dispatcher thread")
-        })
-        .collect();
-
-    let mut state = Loop {
+    // Completions that arrive after the loop exits land in a list nobody
+    // reads any more; Server::join stops the workers after this returns.
+    Loop {
         shared: Arc::clone(shared),
         poller,
-        wake,
-        dispatch,
-        completions,
         subscriptions: Arc::clone(subscriptions),
         conns: Vec::new(),
         free: Vec::new(),
         generations: 0,
         accepting: true,
         shutdown_polls: 0,
-    };
-    state.run(&listener);
-
-    // Drain the dispatchers: in-flight handle_request calls finish (the
-    // scoring workers are still running — Server::join stops them only
-    // after this thread exits), late completions land in a list nobody
-    // reads any more, and the pool exits.
-    state.dispatch.close();
-    for dispatcher in dispatchers {
-        dispatcher.join().expect("dispatcher thread panicked");
     }
-}
-
-fn dispatcher_loop(
-    shared: &Arc<Shared>,
-    dispatch: &BoundedQueue<DispatchJob>,
-    completions: &Completions,
-    wake: &WakePipe,
-) {
-    while let Some(job) = dispatch.pop() {
-        let DispatchJob { slot, generation, seq, mode, op, request } = job;
-        let bytes = render(&shared.stats, mode, op, handle_request(request, shared));
-        let completion = Completion { slot, generation, seq, bytes };
-        completions.lock().expect("completion lock").push(completion);
-        wake.wake();
-    }
+    .run(&listener);
 }
 
 /// Encodes one response envelope as a frame in the connection's wire
@@ -298,9 +284,6 @@ fn render(
 struct Loop {
     shared: Arc<Shared>,
     poller: Poller,
-    wake: Arc<WakePipe>,
-    dispatch: Arc<BoundedQueue<DispatchJob>>,
-    completions: Arc<Completions>,
     subscriptions: Arc<Mutex<Vec<JoinHandle<()>>>>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
@@ -331,7 +314,7 @@ impl Loop {
             for &event in &events {
                 match event.token {
                     LISTENER_TOKEN => self.accept_burst(listener),
-                    WAKE_TOKEN => self.wake.drain(),
+                    WAKE_TOKEN => self.shared.completions.wake.drain(),
                     token => self.handle_io(token as usize, event),
                 }
             }
@@ -592,9 +575,9 @@ impl Loop {
         }
     }
 
-    /// Routes one decoded request (or its parse error): special ops are
-    /// intercepted on the loop thread, the rest go to the dispatchers —
-    /// a write only once everything before it has completed.
+    /// Takes one decoded request (or its parse error): special ops are
+    /// intercepted here, the rest are routed — a write only once
+    /// everything before it has completed.
     fn take_request(&mut self, slot: usize, op: u16, request: Result<Request, RequestError>) {
         let conn = self.conns[slot].as_mut().expect("checked by caller");
         let seq = conn.next_seq;
@@ -613,43 +596,38 @@ impl Loop {
             Ok(request) => {
                 let is_write =
                     matches!(request, Request::ApplyMutations { .. } | Request::Compact { .. });
-                let (generation, mode) = (conn.generation, conn.mode);
-                let job = DispatchJob { slot, generation, seq, mode, op, request };
                 if is_write {
                     conn.barrier = Some(seq);
-                    if conn.inflight > 0 {
-                        conn.held = Some(job);
-                        return;
-                    }
                 }
-                self.dispatch_job(job);
+                if is_write && conn.inflight > 0 {
+                    conn.held = Some((seq, op, request));
+                } else {
+                    self.dispatch(slot, seq, op, request);
+                }
             }
+        }
+        // A replicate hand-off removes the connection.
+        if let Some(conn) = self.conns[slot].as_ref() {
+            ServeStats::raise(&self.shared.stats.pipelined_peak, conn.undelivered() as u64);
         }
     }
 
-    /// Hands one request to the dispatcher pool, answering it inline
-    /// when the hand-off queue refuses it.
-    fn dispatch_job(&mut self, job: DispatchJob) {
-        let (slot, seq, op) = (job.slot, job.seq, job.op);
+    /// Answers one request on the loop thread, or queues it as a job that
+    /// posts its answer back; a panic while answering is the request's
+    /// typed `internal` error.
+    fn dispatch(&mut self, slot: usize, seq: u64, op: u16, request: Request) {
         let conn = self.conns[slot].as_mut().expect("checked by caller");
-        conn.inflight += 1;
-        ServeStats::raise(
-            &self.shared.stats.pipelined_peak,
-            (conn.inflight + conn.done.len()) as u64,
-        );
-        if let Err(refusal) = self.dispatch.try_push(job) {
-            let conn = self.conns[slot].as_mut().expect("checked by caller");
-            conn.inflight -= 1;
-            if conn.barrier == Some(seq) {
-                conn.barrier = None;
-            }
-            let err = match refusal {
-                PushError::Full => {
-                    (ErrorKind::Overloaded, "dispatch queue is full; retry later".to_string())
+        let reply = ReplyTo { slot, generation: conn.generation, seq, mode: conn.mode, op };
+        let shared = &self.shared;
+        let answered = contain(shared, 1, || route(request, shared, reply));
+        match answered.unwrap_or_else(|e| Some(Err(e))) {
+            None => conn.inflight += 1,
+            Some(outcome) => {
+                if conn.barrier == Some(seq) {
+                    conn.barrier = None;
                 }
-                PushError::Closed => (ErrorKind::ShuttingDown, "server is draining".to_string()),
-            };
-            self.finish_inline_seq(slot, seq, op, Err(err), false);
+                self.finish_inline_seq(slot, seq, op, outcome, false);
+            }
         }
     }
 
@@ -741,30 +719,29 @@ impl Loop {
         }
     }
 
-    /// Applies every queued completion, then settles the touched slots.
+    /// Applies every posted completion, then settles the touched slots.
     fn apply_completions(&mut self) {
-        let ready = std::mem::take(&mut *self.completions.lock().expect("completion lock"));
         let mut touched = Vec::new();
-        for Completion { slot, generation, seq, bytes } in ready {
-            // A connection that died while its request ran gets nothing;
-            // the dispatcher already counted the response.
-            let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+        for Completion { reply, outcome } in self.shared.completions.take() {
+            // Counted even when the connection died while the job ran.
+            let bytes = render(&self.shared.stats, reply.mode, reply.op, outcome);
+            let Some(conn) = self.conns.get_mut(reply.slot).and_then(Option::as_mut) else {
                 continue;
             };
-            if conn.generation != generation {
+            if conn.generation != reply.generation {
                 continue;
             }
             conn.inflight -= 1;
-            conn.done.insert(seq, bytes);
-            if conn.barrier == Some(seq) {
+            conn.done.insert(reply.seq, bytes);
+            if conn.barrier == Some(reply.seq) {
                 conn.barrier = None;
             }
             if conn.inflight == 0 {
-                if let Some(write) = conn.held.take() {
-                    self.dispatch_job(write);
+                if let Some((seq, op, write)) = conn.held.take() {
+                    self.dispatch(reply.slot, seq, op, write);
                 }
             }
-            touched.push(slot);
+            touched.push(reply.slot);
         }
         touched.sort_unstable();
         touched.dedup();

@@ -7,14 +7,19 @@
 //!
 //! * **Framing** ([`protocol`]): 4-byte big-endian length + UTF-8 JSON,
 //!   with typed error kinds and a hard frame-size ceiling.
-//! * **Backpressure** ([`queue`]): a bounded queue between the request
-//!   dispatchers and the scoring workers; saturation is answered
-//!   synchronously with an `overloaded` response instead of unbounded
-//!   buffering.
+//! * **One hop per request** ([`server`]): one event-loop thread owns
+//!   every connection and answers `health`, `stats`, the listings,
+//!   request errors and full cache hits itself; every other op is one
+//!   job for the scoring workers, which post the answer back to the loop
+//!   to encode. A panic while answering is that request's typed
+//!   `internal` error, never a dead thread.
+//! * **Backpressure** ([`queue`]): a bounded queue between the event
+//!   loop and the scoring workers; saturation is answered synchronously
+//!   with an `overloaded` response instead of unbounded buffering.
 //! * **Micro-batching** ([`server`]): queued same-snapshot scoring jobs
 //!   are coalesced and evaluated in one [`ParallelScorer`] pass.
-//! * **Caching** ([`cache`]): an LRU keyed by (snapshot, function, set
-//!   digest) replays deterministic scores bit-exactly.
+//! * **Caching** ([`cache`]): an LRU keyed by (snapshot, version,
+//!   function, set digest) replays deterministic scores bit-exactly.
 //! * **Live mutations** ([`server`]): `apply_mutations` commits
 //!   WAL-backed graph deltas through the same bounded queue, publishing
 //!   the snapshot's next version and invalidating the cached scores it
@@ -55,6 +60,8 @@ pub mod client;
 pub mod coordinator;
 pub(crate) mod event_loop;
 pub mod failover;
+#[cfg(feature = "fault-inject")]
+pub mod fault;
 pub mod protocol;
 pub mod queue;
 pub mod registry;

@@ -178,8 +178,8 @@ pub enum Request {
         snapshot: String,
     },
     /// Read one group's paper scores straight from the incrementally
-    /// maintained aggregates — O(1), no scoring job, no queueing — along
-    /// with the snapshot's current mutation version.
+    /// maintained aggregates — O(1), no scoring pass — along with the
+    /// snapshot's current mutation version.
     WatchScores {
         /// Snapshot id.
         snapshot: String,

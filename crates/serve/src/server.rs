@@ -1,25 +1,29 @@
-//! The daemon: the epoll front end, its dispatcher pool, and the
-//! scoring worker pool, glued together by the bounded job queue.
+//! The daemon: the epoll front end and the scoring workers, glued
+//! together by the bounded job queue.
 //!
 //! ## Threading model
 //!
-//! * One **event-loop** thread (`event_loop`) owns the listener
-//!   and every connection. It reads and parses frames, answers
-//!   `shutdown` and framing defects itself, and hands every other
-//!   request to the dispatcher pool. It observes shutdown (from the
-//!   `shutdown` op, [`ShutdownHandle::trigger`], or a watched SIGINT /
-//!   SIGTERM flag) within one poll interval.
-//! * `max(8, 4 × workers)` **dispatchers** run `handle_request`: cheap
-//!   ops (`health`, `stats`, listings, cache hits) are answered inline,
-//!   scoring work is pushed onto the bounded queue — refused with a
-//!   typed `overloaded` response the instant the queue is full — and the
-//!   dispatcher encodes the response frame for its connection's wire
-//!   mode before handing it back to the loop.
+//! * One **event-loop** thread (`event_loop`) owns the listener and
+//!   every connection. It reads and parses frames and routes each
+//!   request on the spot: `health`, `stats`, the listings, request
+//!   errors and full score-cache hits are answered and encoded there;
+//!   every other op becomes one job on the bounded queue — refused with a
+//!   typed `overloaded` response the instant the queue is full. It
+//!   observes shutdown (from the `shutdown` op,
+//!   [`ShutdownHandle::trigger`], or a watched SIGINT / SIGTERM flag)
+//!   within one poll interval.
 //! * `workers` **scoring workers** pop jobs in micro-batches
 //!   ([`BoundedQueue::pop_batch`] coalesces same-snapshot scoring jobs up
 //!   to `batch_max`) and evaluate each batch with one
 //!   [`ParallelScorer`] pass, so concurrent clients share the fan-out
-//!   machinery instead of competing for it.
+//!   machinery instead of competing for it. Each job carries its reply
+//!   address; the worker posts the response envelope back to the loop,
+//!   which encodes it for the connection's wire mode.
+//!
+//! A panic while answering — on the loop, or in a job or a score batch
+//! on a worker — is caught: every request it was answering gets a typed
+//! `internal` error, counted in the `stats` row `panics`, and the thread
+//! goes on serving.
 //!
 //! ## Reads and writes
 //!
@@ -37,6 +41,7 @@
 
 use crate::cache::{CacheKey, ScoreCache};
 use crate::coordinator::{Coordinator, CoordinatorConfig};
+use crate::event_loop::{Completion, Completions, ReplyTo};
 use crate::protocol::{
     ok_value, set_digest, wire, ErrorKind, Request, RequestError, MAX_BASELINE_SAMPLES,
 };
@@ -54,9 +59,10 @@ use serde_json::Value;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -115,56 +121,24 @@ impl Default for ServeConfig {
     }
 }
 
-/// What a worker hands back to the dispatcher that enqueued a job.
-enum JobOutput {
-    Scores(Vec<f64>),
-    Baseline { set_scores: Vec<f64>, baseline_means: Vec<f64> },
-    Applied {
-        applied: usize,
-        rejected: Option<(usize, String)>,
-        version: u64,
-        wal_records: u64,
-        invalidated: u64,
-    },
-    Compacted { folded: u64 },
-    Slept,
-}
-
-type JobReply = mpsc::Sender<Result<JobOutput, RequestError>>;
-
+/// A score-cache miss: one set to score, coalesced with the queued
+/// misses on the same snapshot entry into one batch.
 struct ScoreJob {
     snapshot: Arc<LoadedSnapshot>,
     set: VertexSet,
     functions: Vec<ScoringFunction>,
     digest: u64,
     control: RunControl,
-    reply: JobReply,
+    /// The answer's `group` field: `Some` for `score_group`.
+    group: Option<usize>,
+    reply: ReplyTo,
 }
 
 enum Job {
     Score(ScoreJob),
-    Baseline {
-        snapshot: Arc<LoadedSnapshot>,
-        set: VertexSet,
-        functions: Vec<ScoringFunction>,
-        samples: usize,
-        seed: u64,
-        control: RunControl,
-        reply: JobReply,
-    },
-    Apply {
-        snapshot_id: String,
-        mutations: Vec<Mutation>,
-        reply: JobReply,
-    },
-    Compact {
-        snapshot_id: String,
-        reply: JobReply,
-    },
-    Sleep {
-        millis: u64,
-        reply: JobReply,
-    },
+    /// Any other op the loop does not answer itself, answered whole on a
+    /// worker by `answer`.
+    Op(Request, ReplyTo),
 }
 
 /// The mutable side of one snapshot: the authoritative [`LiveSnapshot`]
@@ -187,6 +161,8 @@ pub(crate) struct Shared {
     pub(crate) repl: Mutex<ReplRegistry>,
     /// `Some` when this server is a scatter-gather coordinator.
     pub(crate) coord: Option<Coordinator>,
+    /// Where workers post the answers of queued jobs.
+    pub(crate) completions: Completions,
     shutdown: AtomicBool,
 }
 
@@ -280,6 +256,7 @@ impl Server {
             stats: ServeStats::default(),
             repl: Mutex::new(ReplRegistry::default()),
             coord,
+            completions: Completions::new()?,
             shutdown: AtomicBool::new(false),
             registry,
             config,
@@ -325,7 +302,7 @@ impl Server {
     }
 
     /// Blocks until shutdown is triggered, drains, and returns the final
-    /// counters: event-loop exit (its dispatchers drained) → replication
+    /// counters: event-loop exit → replication
     /// subscriptions end → queued jobs executed → workers exit.
     pub fn join(self) -> StatsSnapshot {
         self.event_loop.join().expect("event-loop thread panicked");
@@ -364,25 +341,39 @@ fn adopt_write_ahead_logs(
     Ok(live)
 }
 
-/// Answers one request with its response envelope: the one tree that
-/// both wire encoders render ([`crate::event_loop`]). `shutdown` and
-/// `replicate` never arrive here; the loop handles them itself.
-pub(crate) fn handle_request(request: Request, shared: &Arc<Shared>) -> Result<Value, RequestError> {
-    // A coordinator answers (or refuses) almost every op itself — by
-    // scatter-gathering the shard fleet — so clients speak to it exactly
-    // as they would to a single-node server. The few ops it passes back
-    // (`debug_sleep`) run on the local machinery below.
-    if shared.coord.is_some() {
-        if let Some(answer) = crate::coordinator::handle(shared, &request) {
-            return answer;
-        }
+/// Routes one request on the event-loop thread. Returns its answer — the
+/// envelope both wire encoders render — when the loop gives it at once:
+/// `health`, `stats`, the listings, request errors, full score-cache
+/// hits, or a refusal from a full queue. Returns `None` once the request
+/// is queued as a job that posts its own answer to `reply`. `shutdown`
+/// and `replicate` never arrive here; the loop handles them itself.
+pub(crate) fn route(
+    request: Request,
+    shared: &Shared,
+    reply: ReplyTo,
+) -> Option<Result<Value, RequestError>> {
+    #[cfg(feature = "fault-inject")]
+    crate::fault::inline_site();
+    // A coordinator answers what it holds on the loop and queues the ops
+    // that call its shards, so clients speak to it exactly as they would
+    // to a single-node server.
+    if let Some(answer) = crate::coordinator::answer_inline(shared, &request) {
+        return Some(answer);
     }
-    match request {
-        Request::Health => Ok(ok_value(vec![
+    route_local(shared, request, reply).transpose()
+}
+
+fn route_local(
+    shared: &Shared,
+    request: Request,
+    reply: ReplyTo,
+) -> Result<Option<Value>, RequestError> {
+    let answer = match request {
+        Request::Health => ok_value(vec![
             ("status".to_string(), Value::Str("serving".to_string())),
             ("snapshots".to_string(), Value::UInt(shared.registry.len() as u64)),
-        ])),
-        Request::Stats => Ok(ok_value(shared.stats_snapshot().to_fields())),
+        ]),
+        Request::Stats => ok_value(shared.stats_snapshot().to_fields()),
         Request::ListSnapshots => {
             let snapshots: Vec<Value> = shared
                 .registry
@@ -401,26 +392,24 @@ pub(crate) fn handle_request(request: Request, shared: &Arc<Shared>) -> Result<V
                     ])
                 })
                 .collect();
-            Ok(ok_value(vec![("snapshots".to_string(), Value::Seq(snapshots))]))
+            ok_value(vec![("snapshots".to_string(), Value::Seq(snapshots))])
         }
         Request::ListGroups { snapshot } => {
             let snap = resolve_snapshot(shared, &snapshot)?;
             let sizes: Vec<Value> =
                 snap.groups.iter().map(|g| Value::UInt(g.len() as u64)).collect();
-            Ok(ok_value(vec![
+            ok_value(vec![
                 ("snapshot".to_string(), Value::Str(snap.id.clone())),
                 ("groups".to_string(), Value::UInt(sizes.len() as u64)),
                 ("sizes".to_string(), Value::Seq(sizes)),
-            ]))
+            ])
         }
-        Request::ScoreGroup { snapshot, group, functions, deadline_ms } => {
+        Request::ScoreGroup { snapshot, group, functions, deadline_ms } if shared.coord.is_none() => {
             let snap = resolve_snapshot(shared, &snapshot)?;
             let set = resolve_group(&snap, group)?;
-            let mut fields = vec![("group".to_string(), Value::UInt(group as u64))];
-            fields.extend(score_request(shared, &snap, set, &functions, deadline_ms)?);
-            Ok(ok_value(with_op("score_group", &snap.id, fields)))
+            return score(shared, &snap, Some(group), set, functions, deadline_ms, reply);
         }
-        Request::ScoreSet { snapshot, members, functions, deadline_ms } => {
+        Request::ScoreSet { snapshot, members, functions, deadline_ms } if shared.coord.is_none() => {
             let snap = resolve_snapshot(shared, &snapshot)?;
             let set = VertexSet::from_vec(members);
             let nodes = snap.graph().node_count();
@@ -433,9 +422,34 @@ pub(crate) fn handle_request(request: Request, shared: &Arc<Shared>) -> Result<V
                     ),
                 ));
             }
-            let fields = score_request(shared, &snap, set, &functions, deadline_ms)?;
-            Ok(ok_value(with_op("score_set", &snap.id, fields)))
+            return score(shared, &snap, None, &set, functions, deadline_ms, reply);
         }
+        Request::ReplAck { .. } => {
+            return Err((
+                ErrorKind::BadRequest,
+                "repl_ack is only valid inside a replication subscription".to_string(),
+            ))
+        }
+        Request::Replicate { .. } | Request::Shutdown => {
+            return Err(internal("replicate and shutdown are handled by the event loop"))
+        }
+        request => {
+            enqueue(shared, Job::Op(request, reply))?;
+            return Ok(None);
+        }
+    };
+    Ok(Some(answer))
+}
+
+/// Answers one queued op on a scoring worker: every op the loop does not
+/// answer itself, bar the score misses, which run as batches.
+fn answer(shared: &Shared, request: Request) -> Result<Value, RequestError> {
+    #[cfg(feature = "fault-inject")]
+    crate::fault::job_site();
+    if let Some(answer) = crate::coordinator::answer_queued(shared, &request) {
+        return answer;
+    }
+    match request {
         Request::Baseline { snapshot, group, functions, samples, seed, deadline_ms } => {
             let snap = resolve_snapshot(shared, &snapshot)?;
             let set = resolve_group(&snap, group)?;
@@ -447,64 +461,24 @@ pub(crate) fn handle_request(request: Request, shared: &Arc<Shared>) -> Result<V
             }
             let size = set.len();
             let control = control_for(deadline_ms);
-            check_deadline(&control)?;
-            let (reply, outcome) = mpsc::channel();
-            enqueue(
-                shared,
-                Job::Baseline {
-                    snapshot: Arc::clone(&snap),
-                    set,
-                    functions: functions.clone(),
-                    samples,
-                    seed,
-                    control,
-                    reply,
-                },
-            )?;
-            match wait_for(&outcome)? {
-                JobOutput::Baseline { set_scores, baseline_means } => {
-                    let fields = vec![
-                        ("group".to_string(), Value::UInt(group as u64)),
-                        ("size".to_string(), Value::UInt(size as u64)),
-                        ("samples".to_string(), Value::UInt(samples as u64)),
-                        ("seed".to_string(), Value::UInt(seed)),
-                        ("functions".to_string(), function_names(&functions)),
-                        ("set_scores".to_string(), wire::score_array(&set_scores)),
-                        ("baseline_means".to_string(), wire::score_array(&baseline_means)),
-                    ];
-                    Ok(ok_value(with_op("baseline", &snap.id, fields)))
-                }
-                _ => Err(internal("baseline job returned the wrong output kind")),
-            }
+            let (set_scores, baseline_means) =
+                run_baseline(shared, &snap, set.clone(), &functions, samples, seed, &control)?;
+            let fields = vec![
+                ("group".to_string(), Value::UInt(group as u64)),
+                ("size".to_string(), Value::UInt(size as u64)),
+                ("samples".to_string(), Value::UInt(samples as u64)),
+                ("seed".to_string(), Value::UInt(seed)),
+                ("functions".to_string(), function_names(&functions)),
+                ("set_scores".to_string(), wire::score_array(&set_scores)),
+                ("baseline_means".to_string(), wire::score_array(&baseline_means)),
+            ];
+            Ok(ok_value(with_op("baseline", &snap.id, fields)))
         }
         Request::ApplyMutations { snapshot, mutations } => {
             refuse_writes_on_replica(shared)?;
-            // Resolve first so unknown ids are `not-found`, not queued
-            // work; the worker re-resolves the live state under its lock.
             let snap = resolve_snapshot(shared, &snapshot)?;
             refuse_writes_on_shard(&snap)?;
-            let (reply, outcome) = mpsc::channel();
-            enqueue(shared, Job::Apply { snapshot_id: snap.id.clone(), mutations, reply })?;
-            match wait_for(&outcome)? {
-                JobOutput::Applied { applied, rejected, version, wal_records, invalidated } => {
-                    let rejected_value = match rejected {
-                        None => Value::Null,
-                        Some((index, message)) => Value::Map(vec![
-                            ("index".to_string(), Value::UInt(index as u64)),
-                            ("message".to_string(), Value::Str(message)),
-                        ]),
-                    };
-                    let fields = vec![
-                        ("applied".to_string(), Value::UInt(applied as u64)),
-                        ("rejected".to_string(), rejected_value),
-                        ("version".to_string(), Value::UInt(version)),
-                        ("wal_records".to_string(), Value::UInt(wal_records)),
-                        ("cache_invalidated".to_string(), Value::UInt(invalidated)),
-                    ];
-                    Ok(ok_value(with_op("apply_mutations", &snap.id, fields)))
-                }
-                _ => Err(internal("apply job returned the wrong output kind")),
-            }
+            run_apply(shared, &snap.id, &mutations)
         }
         Request::Compact { snapshot } => {
             refuse_writes_on_replica(shared)?;
@@ -516,22 +490,11 @@ pub(crate) fn handle_request(request: Request, shared: &Arc<Shared>) -> Result<V
                     format!("snapshot {:?} is in-memory and cannot be compacted", snap.id),
                 ));
             }
-            let (reply, outcome) = mpsc::channel();
-            enqueue(shared, Job::Compact { snapshot_id: snap.id.clone(), reply })?;
-            match wait_for(&outcome)? {
-                JobOutput::Compacted { folded } => {
-                    let fields = vec![
-                        ("folded_records".to_string(), Value::UInt(folded)),
-                        ("path".to_string(), Value::Str(snap.path.clone())),
-                    ];
-                    Ok(ok_value(with_op("compact", &snap.id, fields)))
-                }
-                _ => Err(internal("compact job returned the wrong output kind")),
-            }
+            run_compact(shared, &snap)
         }
         Request::WatchScores { snapshot, group } => {
-            // O(1) from the maintained aggregates: answered inline, like
-            // cache hits — no scoring job, no queue round-trip.
+            // O(1) from the maintained aggregates, but under the live-state
+            // lock a write holds — hence a job, never the loop.
             let mut states = shared.live.lock().expect("live state lock");
             let state = live_state(&mut states, shared, &snapshot)?;
             let scores = state.live.paper_scores(group).ok_or_else(|| {
@@ -557,9 +520,6 @@ pub(crate) fn handle_request(request: Request, shared: &Arc<Shared>) -> Result<V
             Ok(ok_value(with_op("watch_scores", &snapshot, fields)))
         }
         Request::SuggestCircles { snapshot, ego, seed, min_size, top } => {
-            // Answered inline, like watch_scores: the ego view reads the
-            // entry's composed adjacency directly, and hits replay whole
-            // cached suggestions.
             run_suggest(shared, &snapshot, ego, seed, min_size, top)
         }
         Request::DebugSleep { millis } => {
@@ -569,9 +529,7 @@ pub(crate) fn handle_request(request: Request, shared: &Arc<Shared>) -> Result<V
                     "debug ops are disabled on this server".to_string(),
                 ));
             }
-            let (reply, outcome) = mpsc::channel();
-            enqueue(shared, Job::Sleep { millis, reply })?;
-            wait_for(&outcome)?;
+            std::thread::sleep(Duration::from_millis(millis));
             Ok(ok_value(vec![("slept_ms".to_string(), Value::UInt(millis))]))
         }
         Request::ReplStatus => {
@@ -593,7 +551,7 @@ pub(crate) fn handle_request(request: Request, shared: &Arc<Shared>) -> Result<V
             let control = control_for(deadline_ms);
             check_deadline(&control)?;
             let set = match (group, members) {
-                (Some(group), None) => resolve_group(&snap, group)?,
+                (Some(group), None) => resolve_group(&snap, group)?.clone(),
                 (None, Some(members)) => {
                     // Halo sub-snapshots keep the parent's full node-id
                     // space, so global member ids validate directly.
@@ -613,9 +571,8 @@ pub(crate) fn handle_request(request: Request, shared: &Arc<Shared>) -> Result<V
                 // The parser enforces exactly-one-of.
                 _ => return Err(internal("shard_stats parsed without a set")),
             };
-            // Answered inline, like watch_scores: one single-set pass
-            // over owned members, bounded by the halo's size — the
-            // coordinator provides the fan-out, not the shard's queue.
+            // One single-set pass over owned members, bounded by the
+            // halo's size; the coordinator provides the fan-out.
             let partial = circlekit_shard::compute_partial(&snap.graph(), &manifest, &set);
             check_deadline(&control)?;
             ServeStats::bump(&shared.stats.shard_partials);
@@ -656,16 +613,7 @@ pub(crate) fn handle_request(request: Request, shared: &Arc<Shared>) -> Result<V
             ];
             Ok(ok_value(with_op("shard_stats", &snap.id, fields)))
         }
-        Request::ReplAck { .. } => Err((
-            ErrorKind::BadRequest,
-            "repl_ack is only valid inside a replication subscription".to_string(),
-        )),
-        // Handled by the event loop so it can hand the stream off.
-        Request::Replicate { .. } => {
-            Err(internal("replicate must be handled by the event loop"))
-        }
-        // Handled by the event loop so it can close afterwards.
-        Request::Shutdown => Err(internal("shutdown must be handled by the event loop")),
+        _ => Err(internal("the event loop answers this op itself")),
     }
 }
 
@@ -676,7 +624,7 @@ pub(crate) fn handle_request(request: Request, shared: &Arc<Shared>) -> Result<V
 /// without any lock; a racing commit bumps the version, so the late
 /// insert can never be served (compare-on-get).
 fn run_suggest(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     snapshot: &str,
     ego: u32,
     seed: u64,
@@ -776,38 +724,51 @@ fn refuse_writes_on_replica(shared: &Shared) -> Result<(), RequestError> {
     }
 }
 
-/// The shared score path of `score_group` and `score_set`: cache probe,
-/// then the queued/batched compute path on a miss.
-fn score_request(
-    shared: &Arc<Shared>,
+/// The score path of `score_group` (with `group`) and `score_set` on the
+/// loop: a full cache hit is the answer; a miss is queued as a
+/// [`ScoreJob`] and answered by its batch.
+fn score(
+    shared: &Shared,
     snap: &Arc<LoadedSnapshot>,
-    set: VertexSet,
-    functions: &[ScoringFunction],
+    group: Option<usize>,
+    set: &VertexSet,
+    functions: Vec<ScoringFunction>,
     deadline_ms: Option<u64>,
-) -> Result<Vec<(String, Value)>, RequestError> {
+    reply: ReplyTo,
+) -> Result<Option<Value>, RequestError> {
     let control = control_for(deadline_ms);
     check_deadline(&control)?;
-    let size = set.len();
     let digest = set_digest(set.as_slice());
-    if let Some(scores) = cache_probe(shared, snap, functions, digest) {
-        return Ok(score_fields(size, functions, &scores, true));
+    if let Some(scores) = cache_probe(shared, snap, &functions, digest) {
+        return Ok(Some(score_answer(&snap.id, group, set.len(), &functions, &scores, true)));
     }
-    let (reply, outcome) = mpsc::channel();
-    enqueue(
-        shared,
-        Job::Score(ScoreJob {
-            snapshot: Arc::clone(snap),
-            set,
-            functions: functions.to_vec(),
-            digest,
-            control,
-            reply,
-        }),
-    )?;
-    match wait_for(&outcome)? {
-        JobOutput::Scores(scores) => Ok(score_fields(size, functions, &scores, false)),
-        _ => Err(internal("score job returned the wrong output kind")),
-    }
+    let job = ScoreJob {
+        snapshot: Arc::clone(snap),
+        set: set.clone(),
+        functions,
+        digest,
+        control,
+        group,
+        reply,
+    };
+    enqueue(shared, Job::Score(job))?;
+    Ok(None)
+}
+
+/// The envelope of a `score_group` (with `group`) or `score_set` answer.
+fn score_answer(
+    snapshot: &str,
+    group: Option<usize>,
+    size: usize,
+    functions: &[ScoringFunction],
+    scores: &[f64],
+    cached: bool,
+) -> Value {
+    let mut fields: Vec<(String, Value)> =
+        group.map(|g| ("group".to_string(), Value::UInt(g as u64))).into_iter().collect();
+    fields.extend(score_fields(size, functions, scores, cached));
+    let op = if group.is_some() { "score_group" } else { "score_set" };
+    ok_value(with_op(op, snapshot, fields))
 }
 
 pub(crate) fn score_fields(
@@ -890,8 +851,8 @@ pub(crate) fn publish(shared: &Shared, id: &str, state: &LiveState) {
     shared.registry.replace(Arc::new(current.successor(&state.live, state.version)));
 }
 
-fn resolve_group(snap: &LoadedSnapshot, group: usize) -> Result<VertexSet, RequestError> {
-    snap.groups.get(group).cloned().ok_or_else(|| {
+fn resolve_group(snap: &LoadedSnapshot, group: usize) -> Result<&VertexSet, RequestError> {
+    snap.groups.get(group).ok_or_else(|| {
         (
             ErrorKind::NotFound,
             format!(
@@ -933,23 +894,34 @@ fn enqueue(shared: &Shared, job: Job) -> Result<(), RequestError> {
     Ok(())
 }
 
-fn wait_for(
-    outcome: &mpsc::Receiver<Result<JobOutput, RequestError>>,
-) -> Result<JobOutput, RequestError> {
-    outcome
-        .recv()
-        .map_err(|_| internal("scoring worker dropped the reply channel"))?
-}
-
 fn internal(message: &str) -> RequestError {
     (ErrorKind::Internal, message.to_string())
+}
+
+/// Runs `work`, turning a panic into the typed `internal` error that
+/// answers each of the `requests` requests it was serving, and counts
+/// them in the `panics` stats row.
+pub(crate) fn contain<T>(
+    shared: &Shared,
+    requests: usize,
+    work: impl FnOnce() -> T,
+) -> Result<T, RequestError> {
+    catch_unwind(AssertUnwindSafe(work)).map_err(|payload| {
+        ServeStats::add(&shared.stats.panics, requests as u64);
+        let why = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("no message");
+        internal(&format!("the request handler panicked: {why}"))
+    })
 }
 
 // ---------------------------------------------------------------------
 // Worker side
 // ---------------------------------------------------------------------
 
-fn worker_loop(shared: &Arc<Shared>) {
+fn worker_loop(shared: &Shared) {
     loop {
         let batch = shared.queue.pop_batch(shared.config.batch_max, |first, candidate| {
             match (first, candidate) {
@@ -963,59 +935,51 @@ fn worker_loop(shared: &Arc<Shared>) {
         if batch.is_empty() {
             return; // queue closed and drained
         }
-        let mut score_jobs = Vec::new();
+        let mut jobs = Vec::with_capacity(batch.len());
+        let mut done = Vec::new();
         for job in batch {
             match job {
-                Job::Score(job) => score_jobs.push(job),
-                Job::Baseline { snapshot, set, functions, samples, seed, control, reply } => {
-                    let result = run_baseline(
-                        shared, &snapshot, set, &functions, samples, seed, &control,
-                    );
-                    let _ = reply.send(result);
-                }
-                Job::Apply { snapshot_id, mutations, reply } => {
-                    let result = run_apply(shared, &snapshot_id, &mutations);
-                    let _ = reply.send(result);
-                }
-                Job::Compact { snapshot_id, reply } => {
-                    let result = run_compact(shared, &snapshot_id);
-                    let _ = reply.send(result);
-                }
-                Job::Sleep { millis, reply } => {
-                    std::thread::sleep(Duration::from_millis(millis));
-                    let _ = reply.send(Ok(JobOutput::Slept));
+                Job::Score(job) => jobs.push(job),
+                Job::Op(request, reply) => {
+                    let outcome = contain(shared, 1, || answer(shared, request)).and_then(|a| a);
+                    done.push(Completion { reply, outcome });
                 }
             }
         }
-        if !score_jobs.is_empty() {
-            run_score_batch(shared, score_jobs);
+        if !jobs.is_empty() {
+            let replies: Vec<ReplyTo> = jobs.iter().map(|job| job.reply).collect();
+            match contain(shared, jobs.len(), || run_score_batch(shared, jobs)) {
+                Ok(answers) => done.extend(answers),
+                Err(e) => done.extend(
+                    replies.into_iter().map(|reply| Completion { reply, outcome: Err(e.clone()) }),
+                ),
+            }
         }
+        shared.completions.post(done);
     }
 }
 
 /// Evaluates one coalesced batch of same-snapshot scoring jobs with a
-/// single [`ParallelScorer`] pass, then fans the per-job scores back out
-/// (and into the cache).
-fn run_score_batch(shared: &Shared, mut jobs: Vec<ScoreJob>) {
+/// single [`ParallelScorer`] pass, then answers each job (and fills the
+/// cache).
+fn run_score_batch(shared: &Shared, jobs: Vec<ScoreJob>) -> Vec<Completion> {
+    #[cfg(feature = "fault-inject")]
+    crate::fault::job_site();
     // Deadlines are re-checked at the batch boundary: a job that waited
     // too long in the queue is answered `deadline-exceeded`, not scored.
+    let mut done = Vec::with_capacity(jobs.len());
     let mut live = Vec::with_capacity(jobs.len());
-    for mut job in jobs.drain(..) {
-        match job.control.check() {
-            Ok(()) => {
-                let set = std::mem::replace(&mut job.set, VertexSet::new());
-                live.push((job, set));
-            }
-            Err(why) => {
-                let _ = job.reply.send(Err((ErrorKind::DeadlineExceeded, why.to_string())));
-            }
+    for job in jobs {
+        match check_deadline(&job.control) {
+            Ok(()) => live.push(job),
+            Err(e) => done.push(Completion { reply: job.reply, outcome: Err(e) }),
         }
     }
-    if live.is_empty() {
-        return;
-    }
-    let snapshot = Arc::clone(&live[0].0.snapshot);
-    let sets: Vec<VertexSet> = live.iter().map(|(_, set)| set.clone()).collect();
+    let Some(first) = live.first() else {
+        return done;
+    };
+    let snapshot = Arc::clone(&first.snapshot);
+    let sets: Vec<VertexSet> = live.iter_mut().map(|job| std::mem::take(&mut job.set)).collect();
     let graph = snapshot.graph();
     let scorer =
         ParallelScorer::with_graph_median(&graph, snapshot.median_degree, shared.config.threads);
@@ -1025,7 +989,7 @@ fn run_score_batch(shared: &Shared, mut jobs: Vec<ScoreJob>) {
     ServeStats::raise(&shared.stats.max_batch, live.len() as u64);
     ServeStats::add(&shared.stats.scored_sets, live.len() as u64);
     let mut cache = shared.cache.lock().expect("cache lock");
-    for ((job, _), set_stats) in live.iter().zip(&stats) {
+    for ((job, set), set_stats) in live.iter().zip(&sets).zip(&stats) {
         let scores: Vec<f64> = job.functions.iter().map(|f| f.score(set_stats)).collect();
         for (function, &score) in job.functions.iter().zip(&scores) {
             cache.insert(
@@ -1038,8 +1002,11 @@ fn run_score_batch(shared: &Shared, mut jobs: Vec<ScoreJob>) {
                 score,
             );
         }
-        let _ = job.reply.send(Ok(JobOutput::Scores(scores)));
+        let envelope =
+            score_answer(&snapshot.id, job.group, set.len(), &job.functions, &scores, false);
+        done.push(Completion { reply: job.reply, outcome: Ok(envelope) });
     }
+    done
 }
 
 /// Scores a set against `samples` seeded size-matched random-walk sets.
@@ -1054,7 +1021,7 @@ fn run_baseline(
     samples: usize,
     seed: u64,
     control: &RunControl,
-) -> Result<JobOutput, RequestError> {
+) -> Result<(Vec<f64>, Vec<f64>), RequestError> {
     check_deadline(control)?;
     let sizes = vec![set.len(); samples];
     let graph = snapshot.graph();
@@ -1081,7 +1048,7 @@ fn run_baseline(
             sum / samples as f64
         })
         .collect();
-    Ok(JobOutput::Baseline { set_scores, baseline_means })
+    Ok((set_scores, baseline_means))
 }
 
 /// Applies one mutation batch under the live-state lock. On commit the
@@ -1089,11 +1056,7 @@ fn run_baseline(
 /// of the snapshot's older versions is invalidated *before* the reply is
 /// sent, so a client that saw the ack can never read a stale graph or a
 /// stale cached score.
-fn run_apply(
-    shared: &Shared,
-    id: &str,
-    mutations: &[Mutation],
-) -> Result<JobOutput, RequestError> {
+fn run_apply(shared: &Shared, id: &str, mutations: &[Mutation]) -> Result<Value, RequestError> {
     let mut states = shared.live.lock().expect("live state lock");
     let state = live_state(&mut states, shared, id)?;
     let outcome = state
@@ -1132,27 +1095,39 @@ fn run_apply(
     if outcome.rejected.is_some() {
         ServeStats::bump(&shared.stats.mutations_rejected);
     }
-    Ok(JobOutput::Applied {
-        applied: outcome.applied,
-        rejected: outcome.rejected.map(|(i, e)| (i, e.to_string())),
-        version: state.version,
-        wal_records: state.live.wal_records() as u64,
-        invalidated,
-    })
+    let rejected = match outcome.rejected {
+        None => Value::Null,
+        Some((index, e)) => Value::Map(vec![
+            ("index".to_string(), Value::UInt(index as u64)),
+            ("message".to_string(), Value::Str(e.to_string())),
+        ]),
+    };
+    let fields = vec![
+        ("applied".to_string(), Value::UInt(outcome.applied as u64)),
+        ("rejected".to_string(), rejected),
+        ("version".to_string(), Value::UInt(state.version)),
+        ("wal_records".to_string(), Value::UInt(state.live.wal_records() as u64)),
+        ("cache_invalidated".to_string(), Value::UInt(invalidated)),
+    ];
+    Ok(ok_value(with_op("apply_mutations", id, fields)))
 }
 
 /// Folds a snapshot's WAL into its CKS1 file and republishes the entry
 /// over a mapping of the new file, with an empty overlay. The composed
 /// graph is unchanged, so neither the version nor any cache entry moves;
 /// requests holding the old entry keep the old mapping.
-fn run_compact(shared: &Shared, id: &str) -> Result<JobOutput, RequestError> {
+fn run_compact(shared: &Shared, snap: &LoadedSnapshot) -> Result<Value, RequestError> {
     let mut states = shared.live.lock().expect("live state lock");
-    let state = live_state(&mut states, shared, id)?;
+    let state = live_state(&mut states, shared, &snap.id)?;
     let folded = state.live.wal_records() as u64;
     state.live.compact().map_err(|e| internal(&format!("compaction failed: {e}")))?;
-    publish(shared, id, state);
+    publish(shared, &snap.id, state);
     ServeStats::bump(&shared.stats.compactions);
-    Ok(JobOutput::Compacted { folded })
+    let fields = vec![
+        ("folded_records".to_string(), Value::UInt(folded)),
+        ("path".to_string(), Value::Str(snap.path.clone())),
+    ];
+    Ok(ok_value(with_op("compact", &snap.id, fields)))
 }
 
 /// Probes the cache for every requested function; only a full hit

@@ -51,6 +51,8 @@ pub struct ServeStats {
     pub binary_connections: AtomicU64,
     /// Most requests one connection has had undelivered at once.
     pub pipelined_peak: AtomicU64,
+    /// Requests answered `internal` because their handler panicked.
+    pub panics: AtomicU64,
 }
 
 impl ServeStats {
@@ -95,6 +97,7 @@ impl ServeStats {
             shard_partials: read(&self.shard_partials),
             binary_connections: read(&self.binary_connections),
             pipelined_peak: read(&self.pipelined_peak),
+            panics: read(&self.panics),
             cache,
             queue_depth,
         }
@@ -146,6 +149,8 @@ pub struct StatsSnapshot {
     pub binary_connections: u64,
     /// Most requests one connection has had undelivered at once.
     pub pipelined_peak: u64,
+    /// Requests answered `internal` because their handler panicked.
+    pub panics: u64,
     /// Cache counters at snapshot time.
     pub cache: CacheStats,
     /// Queue depth at snapshot time.
@@ -177,6 +182,7 @@ impl StatsSnapshot {
             ("shard_partials".to_string(), u(self.shard_partials)),
             ("binary_connections".to_string(), u(self.binary_connections)),
             ("pipelined_peak".to_string(), u(self.pipelined_peak)),
+            ("panics".to_string(), u(self.panics)),
             ("cache_hits".to_string(), u(self.cache.hits)),
             ("cache_misses".to_string(), u(self.cache.misses)),
             ("cache_hit_ratio".to_string(), Value::Float(self.cache.hit_ratio())),

@@ -344,6 +344,67 @@ fn pipelined_binary_requests_come_back_in_request_order() {
     server.join();
 }
 
+/// Cache hits are answered on the loop thread, so they never queue; they
+/// must still count toward `pipelined_peak` while they wait, answered
+/// but unwritten, behind the rest of their burst.
+#[test]
+fn a_burst_of_cached_requests_is_answered_in_order_and_counted_as_pipelined() {
+    const BURST: usize = 16;
+    for binary_mode in [false, true] {
+        let (server, data) = start_server(ServeConfig::default());
+        let groups = data.groups.len();
+        let request = |g: usize| Request::ScoreGroup {
+            snapshot: "gplus".to_string(),
+            group: g % groups,
+            functions: ScoringFunction::PAPER.to_vec(),
+            deadline_ms: None,
+        };
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        for g in 0..BURST.min(groups) {
+            client.score_group("gplus", g, None, None).unwrap();
+        }
+        let mut burst = Vec::new();
+        for g in 0..BURST {
+            if binary_mode {
+                let (op, payload) = binary::encode_request(&request(g));
+                burst.extend(binary::encode_frame(binary::KIND_REQUEST, op, &payload));
+            } else {
+                write_frame(&mut burst, &binary::encode_request_json(&request(g))).unwrap();
+            }
+        }
+        let mut stream = connect_raw(server.local_addr());
+        stream.write_all(&burst).unwrap();
+        let mut leftover = Vec::new();
+        for g in 0..BURST {
+            let tree: Value = if binary_mode {
+                let frame = read_binary_frame_buffered(&mut stream, &mut leftover)
+                    .expect("pipelined response");
+                binary::decode_response_payload(&frame.payload).unwrap()
+            } else {
+                serde_json::from_str(&read_json_frame(&mut stream).expect("pipelined response"))
+                    .unwrap()
+            };
+            assert_eq!(
+                wire::get_u64(&tree, "group").unwrap(),
+                (g % groups) as u64,
+                "{tree}"
+            );
+            assert_eq!(
+                wire::get(&tree, "cached"),
+                Some(&Value::Bool(true)),
+                "{tree}"
+            );
+        }
+        let peak = wire::get_u64(&client.stats().unwrap(), "pipelined_peak").unwrap();
+        assert!(
+            peak >= 2,
+            "binary={binary_mode}: pipelined_peak {peak} after a burst of hits"
+        );
+        server.shutdown_handle().trigger();
+        server.join();
+    }
+}
+
 /// Pipelines `pairs` pairs of (`apply_mutations ["add-vertex"]`,
 /// `watch_scores`) on one connection in one wire mode, half-closes it
 /// before reading anything, and returns the `version` of every response

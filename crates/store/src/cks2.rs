@@ -747,6 +747,21 @@ impl AdjacencyAccess for Cks2Paged<'_> {
             f,
         )
     }
+
+    /// The block's length, decoded in the file's own id space: a length
+    /// needs neither the permutation nor the sort.
+    fn out_degree(&self, v: NodeId) -> Result<usize, Self::Error> {
+        let new_v = self.new_id(v)?;
+        let decode = |buf: &mut Vec<NodeId>| self.view.out_neighbors_into(new_v, buf);
+        self.with_decoded(&self.out_scratch, decode, <[NodeId]>::len)
+    }
+
+    /// As [`Cks2Paged::out_degree`], for the in-list.
+    fn in_degree(&self, v: NodeId) -> Result<usize, Self::Error> {
+        let new_v = self.new_id(v)?;
+        let decode = |buf: &mut Vec<NodeId>| self.view.in_neighbors_into(new_v, buf);
+        self.with_decoded(&self.in_scratch, decode, <[NodeId]>::len)
+    }
 }
 
 /// The portable buffered CKS2 decode: explicit little-endian reads, any

@@ -386,6 +386,39 @@ fn paged_adapter_serves_original_ids() {
     assert!(matches!(err, StoreError::Graph(_)), "unexpected error: {err:?}");
 }
 
+/// The length-only reads decode in the file's id space and must still
+/// give each vertex's CSR degrees, directed and undirected.
+#[test]
+fn paged_degrees_equal_the_csr_degrees() {
+    use circlekit_graph::AdjacencyAccess;
+
+    let mut rng = SmallRng::seed_from_u64(2014);
+    let gplus = presets::google_plus().scaled(0.01).generate(&mut rng);
+    let livejournal = presets::livejournal().scaled(0.002).generate(&mut rng);
+    assert!(gplus.graph.is_directed() && !livejournal.graph.is_directed());
+    let fixtures = [
+        sample_directed(),
+        sample_undirected(),
+        (gplus.graph, gplus.groups),
+        (livejournal.graph, livejournal.groups),
+    ];
+    for (graph, groups) in fixtures {
+        let bytes = pack2(&graph, &groups, false);
+        let buf = aligned(&bytes);
+        let Ok(view) = Cks2View::parse(&buf) else {
+            return; // big-endian host
+        };
+        let paged = view.paged().expect("paged");
+        for v in 0..graph.node_count() as NodeId {
+            let (out, inn) = (graph.out_neighbors(v).len(), graph.in_neighbors(v).len());
+            assert_eq!(paged.out_degree(v).unwrap(), out, "out of {v}");
+            assert_eq!(paged.in_degree(v).unwrap(), inn, "in of {v}");
+        }
+        let outside = paged.in_degree(graph.node_count() as NodeId);
+        assert!(matches!(outside, Err(StoreError::Graph(_))), "{outside:?}");
+    }
+}
+
 /// The paged scorer passes the adapter's typed error through for a
 /// member outside the graph — never a panic — and the failed set leaves
 /// nothing behind: the next set scores exactly as the offline scorer.

@@ -1,7 +1,8 @@
 //! The scoring kernel's contract: every backing and topology the daemon
 //! scores through gives the definitions-based reference's `SetStats`, all
 //! 13 fields, f64 by bits, and the daemon itself serves the 13 scores of
-//! those stats, over JSON and over CKP1. The corpus is the google+
+//! those stats, over JSON and over CKP1, scored afresh and replayed from
+//! its cache. The corpus is the google+
 //! preset at scale 0.02, seed 2014 — the `reproduce all --scale 0.02`
 //! input — with its circles, 100 seeded walk sets sized like them, an
 //! empty set and a singleton.
@@ -105,35 +106,55 @@ fn every_backing_matches_the_definitions() {
 
     let served = scratch_file("served.cks");
     save_snapshot(&served, graph, &data.groups).unwrap();
-    let mut registry = SnapshotRegistry::new();
-    registry
-        .load(served.to_str().unwrap(), Some("gplus"))
-        .unwrap();
-    std::fs::remove_file(&served).unwrap();
-    // No cache, so each wire mode's answers come from the kernel.
-    let config = ServeConfig {
-        cache_capacity: 0,
-        ..ServeConfig::default()
+    let load = || {
+        let mut registry = SnapshotRegistry::new();
+        registry
+            .load(served.to_str().unwrap(), Some("gplus"))
+            .unwrap();
+        registry
     };
-    let server = Server::start(registry, config, ("127.0.0.1", 0)).unwrap();
-    for binary in [false, true] {
-        let mut client = Client::connect(server.local_addr()).unwrap();
-        client.set_binary(binary);
-        for (i, set) in sets.iter().enumerate() {
-            let response = client
-                .score_set("gplus", set.as_slice(), Some("all"), None)
-                .unwrap();
-            let got = Client::scores_of(&response)
-                .unwrap()
-                .into_iter()
-                .map(f64::to_bits);
-            let want = ScoringFunction::ALL.map(|f| f.score(&want[i]).to_bits());
-            let wire = if binary { "CKP1" } else { "JSON" };
-            assert_eq!(got.collect::<Vec<_>>(), want, "daemon over {wire}, set {i}");
+    let registries = [load(), load()];
+    std::fs::remove_file(&served).unwrap();
+    // Without a cache each wire mode's answers come from the kernel. With
+    // one, each set is asked twice and the second answer is a hit the
+    // event loop replays, which must carry the same bits.
+    let capacities = [0, ServeConfig::default().cache_capacity];
+    for (registry, cache_capacity) in registries.into_iter().zip(capacities) {
+        let config = ServeConfig {
+            cache_capacity,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(registry, config, ("127.0.0.1", 0)).unwrap();
+        let asks = if cache_capacity == 0 { 1 } else { 2 };
+        for binary in [false, true] {
+            let mut client = Client::connect(server.local_addr()).unwrap();
+            client.set_binary(binary);
+            for (i, set) in sets.iter().enumerate() {
+                for ask in 0..asks {
+                    let response = client
+                        .score_set("gplus", set.as_slice(), Some("all"), None)
+                        .unwrap();
+                    let got = Client::scores_of(&response)
+                        .unwrap()
+                        .into_iter()
+                        .map(f64::to_bits);
+                    let want = ScoringFunction::ALL.map(|f| f.score(&want[i]).to_bits());
+                    let what = format!(
+                        "daemon over {}, cache {cache_capacity}, set {i}, ask {ask}",
+                        if binary { "CKP1" } else { "JSON" }
+                    );
+                    assert_eq!(got.collect::<Vec<_>>(), want, "{what}");
+                    if ask == 1 {
+                        let cached = circlekit_serve::protocol::wire::get(&response, "cached")
+                            .map(ToString::to_string);
+                        assert_eq!(cached.as_deref(), Some("true"), "{what}");
+                    }
+                }
+            }
         }
+        server.shutdown_handle().trigger();
+        server.join();
     }
-    server.shutdown_handle().trigger();
-    server.join();
 
     let cks2 = scratch_file("paged.cks2");
     save_cks2_snapshot(&cks2, graph, &data.groups, &Cks2PackOptions::default()).unwrap();
